@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import getitem
 
 from .eisenstein import E_ONE, OMEGA, OMEGA2, OMEGA_POWERS, EisensteinRational
 from .groups import (
@@ -365,27 +366,54 @@ class Stabilizer:
 
 
 @cache
+def _phase_map(g: Permutation) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """H -> H^g on phase states (entries as exponents in Z/3), read off the
+    36-point image alone.  If row state (0, r) goes to (a, r') and column
+    state (0, j) to (b, j'), column state (-h, j) goes to (b - s*h, j') with
+    s = -1 iff g conjugates, else 1, so entry (r', j') of H^g is a - b + s*h.
+    Stored per target entry: the source index 6r + j and the table h -> value."""
+    img = g.images
+    s = (img[24] - img[18]) // 6
+    source, tables = [0] * 36, [()] * 36
+    for r in range(6):
+        a, r2 = divmod(img[r], 6)
+        for j in range(6):
+            b, j2 = divmod(img[18 + j] - 18, 6)
+            source[6 * r2 + j2] = 6 * r + j
+            tables[6 * r2 + j2] = tuple((a - b + s * h) % 3 for h in range(3))
+    return tuple(source), tuple(tables)
+
+
+def _phase_act(state: tuple[int, ...], g: Permutation) -> tuple[int, ...]:
+    source, tables = _phase_map(g)
+    return tuple(map(getitem, tables, map(state.__getitem__, source)))
+
+
+@cache
 def compute_aut_star() -> Stabilizer:
     """Stabilizer of the Hadamard matrix under X, by orbit enumeration over
-    hashed exact matrices with Schreier generators sifted into a growing BSGS."""
-    kept_perms: list[Permutation] = []
-    kept_elements: list[XElement] = []
+    phase states with a transversal of 36-point permutations; Schreier
+    generators are sifted into a growing BSGS, and the kept ones are converted
+    back once and checked to fix h6() under the exact matrix action."""
+    kept: list[Permutation] = []
     chain: list[BSGS] = []
 
-    def keep(candidate: XElement) -> bool:
-        perm = candidate.to_perm36()
-        if perm.is_identity():
+    def keep(candidate: Permutation) -> bool:
+        if chain and chain[0].contains(candidate):
             return False
-        if chain and chain[0].contains(perm):
-            return False
-        kept_perms.append(perm)
-        kept_elements.append(candidate)
-        chain[:] = [bsgs_build(kept_perms)]
+        kept.append(candidate)
+        chain[:] = [bsgs_build(kept)]
         return True
 
-    result = orbit_stabilizer(list(x_generators()), lambda H, g: g.act(H), h6(), keep=keep)
+    H = h6()
+    seed = tuple(_UNIT_PHASE[x] for x in H.entries)
+    gens = [g.to_perm36() for g in x_generators()]
+    result = orbit_stabilizer(gens, _phase_act, seed, keep=keep)
+    elements = tuple(XElement.from_perm36(g) for g in kept)
+    if any(g.act(H) != H for g in elements):
+        raise AssertionError("a kept Schreier generator does not fix h6()")
     stab = chain[0]
-    return Stabilizer(tuple(kept_elements), stab.order(), result.orbit_size, stab)
+    return Stabilizer(elements, stab.order(), result.orbit_size, stab)
 
 
 @cache

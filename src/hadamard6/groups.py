@@ -110,6 +110,7 @@ class BSGS:
             for i in range(len(self.base))
         ]
         self._transversals: list[dict[int, Permutation] | None] = [None] * len(self.base)
+        self._inverses: list[dict[int, Permutation]] = [{} for _ in self.base]
         if not self.base:
             return
         for i in reversed(range(len(self.base))):
@@ -129,6 +130,7 @@ class BSGS:
                     T[q] = up * g
                     queue.append(q)
         self._transversals[i] = T
+        self._inverses[i] = {}
 
     def _strip(self, g: Permutation, start: int) -> tuple[Permutation, int]:
         for j in range(start, len(self.base)):
@@ -136,7 +138,10 @@ class BSGS:
             T = self._transversals[j]
             if p not in T:
                 return g, j
-            g = g * T[p].inverse()
+            u = self._inverses[j].get(p)
+            if u is None:
+                u = self._inverses[j][p] = T[p].inverse()
+            g = g * u
         return g, len(self.base)
 
     def _schreier_sims(self, i: int) -> None:
@@ -158,6 +163,7 @@ class BSGS:
                     self.base.append(h.min_moved())
                     self._level_gens.append([])
                     self._transversals.append(None)
+                    self._inverses.append({})
                 for k in range(i + 1, j + 1):
                     self._level_gens[k].append(h)
                 for k in range(j, i, -1):
@@ -218,12 +224,13 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
     """Orbit of seed under <gens> acting on hashable states, with Schreier
     generators u_s * g * u_{s.g}^-1 for the stabilizer.
 
-    keep(candidate) decides which Schreier generators to retain; the default
-    drops identities and duplicates.  Any generator it rejects must already
-    lie in the group generated by the retained ones (the default and the
-    sift-based filters used by callers guarantee this), so the kept set
-    generates the full stabilizer.  The action is spot-checked for
-    consistency on generator pairs before the search starts.
+    Identity candidates (u_s * g == u_{s.g}) are skipped before keep sees
+    them.  keep(candidate) decides which Schreier generators to retain; the
+    default drops duplicates.  Any generator it rejects must already lie in
+    the group generated by the retained ones (the default and the sift-based
+    filters used by callers guarantee this), so the kept set generates the
+    full stabilizer.  The action is spot-checked for consistency on generator
+    pairs before the search starts.
     """
     gens = list(gens)
     if not gens:
@@ -239,7 +246,7 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
         seen = set()
 
         def keep(candidate):
-            if candidate == e or candidate in seen:
+            if candidate in seen:
                 return False
             seen.add(candidate)
             return True
@@ -252,12 +259,13 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
         us = reps[s]
         for g in gens:
             t = act(s, g)
+            usg = us * g
             ut = reps.get(t)
             if ut is None:
-                reps[t] = us * g
+                reps[t] = usg
                 queue.append(t)
-            else:
-                candidate = us * g * ut.inverse()
+            elif usg != ut:
+                candidate = usg * ut.inverse()
                 if keep(candidate):
                     kept.append(candidate)
     return OrbitStabilizer(orbit_size=len(reps), stabilizer_generators=kept)

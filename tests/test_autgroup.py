@@ -3,7 +3,9 @@ import random
 import pytest
 
 from hadamard6.autgroup import (
+    _UNIT_PHASE,
     XElement,
+    _phase_act,
     compute_aut_linear,
     compute_aut_star,
     m_vectors,
@@ -246,6 +248,33 @@ def test_small_orbits_of_h6():
     assert res2.orbit_size == 2
     stab2 = bsgs_build([g.to_perm36() for g in res2.stabilizer_generators], degree=36)
     assert res2.orbit_size * stab2.order() == 2
+
+
+def phase_state(H):
+    return tuple(_UNIT_PHASE[x] for x in H.entries)
+
+
+def test_phase_action_matches_the_matrix_action():
+    # the action read off the 36-point image agrees with XElement.act along a
+    # random walk, so the states are h6() and the matrices reached from it
+    rng = random.Random(102)
+    H = h6()
+    flags = set()
+    for _ in range(240):
+        g = random_word(rng, length=rng.randrange(1, 9))
+        image = g.act(H)
+        assert _phase_act(phase_state(H), g.to_perm36()) == phase_state(image)
+        flags.add(g.eps)
+        H = image if rng.random() < 0.7 else h6()
+    assert flags == {0, 1}
+
+
+def test_kept_stabilizer_generators_are_pinned():
+    # freezes the search order: the two Schreier generators the orbit keeps
+    assert [str(g) for g in compute_aut_star().generators] == [
+        "([1,1,1,1,1,1](2,3,4,5,6), [1,1,1,1,1,1](2,3,4,5,6))",
+        "([1,1,w,w2,w2,w](1,2), [1,1,w2,w,w,w2](1,2)(3,6)(4,5))*",
+    ]
 
 
 def test_act_error_cases():

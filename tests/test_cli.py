@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hadamard6
 from hadamard6.cli import main
 
 
@@ -135,3 +140,18 @@ def test_verification_failure_gives_exit_code_one(capsys, monkeypatch):
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys, )
     assert code == 2
+
+
+def test_verify_output_does_not_depend_on_hash_seed():
+    src = str(Path(hadamard6.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hadamard6.cli", "verify", "--only", "prop2", "--json"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["pass"] is True

@@ -108,6 +108,55 @@ def test_orbit_stabilizer_checks_action_consistency():
         orbit_stabilizer(gens, bogus, 0)
 
 
+def test_orbit_stabilizer_never_offers_identity_candidates():
+    gens = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]
+    offered = []
+
+    def keep(candidate):
+        offered.append(candidate)
+        return True
+
+    result = orbit_stabilizer(gens, lambda p, g: g.apply(p), 0, keep=keep)
+    assert offered and not any(c.is_identity() for c in offered)
+    assert brute_force_order(result.stabilizer_generators) == 6
+
+    # the regular action has a trivial stabilizer: every Schreier generator
+    # is the identity, so keep is never called
+    offered.clear()
+    e = Permutation.identity(4)
+    result = orbit_stabilizer(gens, lambda x, g: x * g, e, keep=keep)
+    assert result.orbit_size == 24
+    assert offered == []
+
+
+def _uncached_sift(chain, g):
+    for j, b in enumerate(chain.base):
+        p = g.apply(b)
+        T = chain._transversals[j]
+        if p not in T:
+            return g
+        g = g * T[p].inverse()
+    return g
+
+
+def test_cached_inverses_follow_a_rebuilt_transversal():
+    c = Permutation.parse("(1,2,3,4,5,6)", 6)
+    t = Permutation.parse("(1,5)(2,4)", 6)
+    s6 = closure([c, Permutation.parse("(1,2)", 6)])
+    chain = bsgs_build([c])
+    for g in s6:
+        chain.sift(g)  # fill the inverse cache of the cyclic chain
+    # extend level 0 by a reflection: the dihedral group of order 12 reaches
+    # point 5 through t where the cyclic chain used c^4
+    chain._level_gens[0].append(t)
+    chain._schreier_sims(0)
+    dihedral = set(closure([c, t]))
+    assert chain.order() == len(dihedral) == 12
+    for g in s6:
+        assert chain.contains(g) == (g in dihedral)
+        assert chain.sift(g) == _uncached_sift(chain, g)
+
+
 def test_derived_subgroup_of_s3():
     gens = [Permutation.parse("(1,2,3)", 3), Permutation.parse("(1,2)", 3)]
     d = derived_subgroup(gens)
