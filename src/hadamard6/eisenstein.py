@@ -11,10 +11,15 @@ frozen in the unit tests:
 
     (z1 + v1*B)(z2 + v2*B) = (z1*z2 + v1*conj(v2)) + (z1*v2 + v1*conj(z2))*B
 
-Values are immutable and hashable, with components stored as Fractions in
-lowest terms (canonical form).  Printing puts B on the right: the element
-obtained by multiplying B by w on the right prints as it is stored, while
-"B then w" in left-to-right reading order equals w2*B here.
+Values are immutable and hashable.  In canonical form each component is an
+exact int when it is integral and otherwise a Fraction in lowest terms (never
+one with denominator 1), so integral arithmetic stays on machine integers and
+only inverse() divides.  A value with zero w-part (or B-part) equals and
+hashes like its rational (or complex) part.
+
+Printing puts B on the right: the element obtained by multiplying B by w on the
+right prints as it is stored, while "B then w" in left-to-right reading order
+equals w2*B here.
 """
 
 from __future__ import annotations
@@ -24,16 +29,23 @@ from fractions import Fraction
 _RAT = (int, Fraction)
 
 
+def _rational(x):
+    """x in canonical form: int if integral, else a reduced Fraction."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError("components must be int or Fraction")
+
+
 class EisensteinRational:
     """a + b*w with rational a, b."""
 
     __slots__ = ("a", "b", "_hash")
 
     def __init__(self, a=0, b=0):
-        if not isinstance(a, _RAT) or not isinstance(b, _RAT):
-            raise TypeError("components must be int or Fraction")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is int else _rational(a)
+        self.b = b if type(b) is int else _rational(b)
         self._hash = None
 
     @classmethod
@@ -93,14 +105,16 @@ class EisensteinRational:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return EisensteinRational((self.a - self.b) / n, -self.b / n)
+        # Fraction, not /: int / int would be a float
+        return EisensteinRational(Fraction(self.a - self.b, n), Fraction(-self.b, n))
 
     def conj(self) -> "EisensteinRational":
         """Complex conjugation, w -> w^2."""
         return EisensteinRational(self.a - self.b, -self.b)
 
-    def norm(self) -> Fraction:
-        """x * conj(x) as a rational; zero only for x = 0."""
+    def norm(self) -> int | Fraction:
+        """x * conj(x) as a rational: an int when both components are ints;
+        zero only for x = 0."""
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def times_omega_pow(self, k: int) -> "EisensteinRational":
@@ -126,7 +140,8 @@ class EisensteinRational:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.a, self.b))
+            # equal to a rational number -> hash like it (eq/hash contract)
+            self._hash = hash((self.a, self.b)) if self.b else hash(self.a)
         return self._hash
 
     def __repr__(self):
@@ -232,7 +247,7 @@ class SplitQuaternion:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.z, self.v))
+            self._hash = hash((self.z, self.v)) if self.v else hash(self.z)
         return self._hash
 
     def __repr__(self):

@@ -103,3 +103,15 @@ def test_theorem_report_passes():
 
 def test_theorem_report_seed_independent_conclusion():
     assert verify_theorem(seed=12345).passed
+
+
+@pytest.mark.parametrize("element", [tau1, lambda: tau2() * star()],
+                         ids=["tau1", "tau2*"])
+def test_intertwining_products_stay_on_integers(element):
+    # the identity multiplies only cube roots of unity and small integers, so
+    # no component of H * B' * dagger(H) may be a Fraction
+    rep = b_rep(element())
+    lhs = h6().to_split_quaternion() @ rep.b.to_matrix() @ h6().dagger().to_split_quaternion()
+    for q in lhs.entries:
+        for c in (q.z.a, q.z.b, q.v.a, q.v.b):
+            assert type(c) is int

@@ -142,16 +142,37 @@ def test_missing_command_is_usage_error(capsys):
     assert code == 2
 
 
-def test_verify_output_does_not_depend_on_hash_seed():
+def _src_env(**extra):
     src = str(Path(hadamard6.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_verify_output_does_not_depend_on_hash_seed():
     outputs = []
     for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "hadamard6.cli", "verify", "--only", "prop2", "--json"],
-            env=env, capture_output=True, check=True,
+            env=_src_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["pass"] is True
+
+
+def test_demo_scripts_run():
+    # the README advertises both scripts; run them as a user would
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    out = {}
+    for name in ("intertwining_demo.py", "group_census.py"):
+        proc = subprocess.run(
+            [sys.executable, str(scripts / name)],
+            env=_src_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out[name] = proc.stdout
+    assert "False" not in out["intertwining_demo.py"]
+    assert "True" in out["intertwining_demo.py"]
+    assert "2,160" in out["group_census.py"]
+    assert "39,366" in out["group_census.py"]

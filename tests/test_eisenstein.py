@@ -17,6 +17,8 @@ from hadamard6.eisenstein import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 eisenstein = st.builds(EisensteinRational, rationals, rationals)
+integers = st.integers(min_value=-50, max_value=50)
+integral = st.builds(EisensteinRational, integers, integers)
 nonzero_eisenstein = eisenstein.filter(bool)
 splitquat = st.builds(SplitQuaternion, eisenstein, eisenstein)
 
@@ -141,3 +143,72 @@ def test_complex_subfield_embeds(x, y):
 def test_splitquat_str():
     assert str(BETA) == "(0)+(1)*B"
     assert str(SplitQuaternion(OMEGA, OMEGA2)) == "(w)+(-1-w)*B"
+
+
+# --- canonical form and the eq/hash contract ----------------------------------
+
+
+def _canonical(c):
+    # exactly int, or exactly a reduced Fraction that is not integral
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@given(st.one_of(eisenstein, integral), st.one_of(eisenstein, integral),
+       st.integers(min_value=-5, max_value=5))
+def test_results_are_in_canonical_form(x, y, k):
+    results = [x, x + y, x - y, x * y, -x, x.conj(), x.times_omega_pow(k),
+               x + 1, 2 * x, 1 - x, x * Fraction(1, 2)]
+    if y:
+        results += [x / y, y.inverse()]
+    for r in results:
+        assert _canonical(r.a) and _canonical(r.b), repr(r)
+
+
+def test_construction_canonicalises_components():
+    x = EisensteinRational(Fraction(4, 2), Fraction(1, 3))
+    assert type(x.a) is int and x.a == 2
+    assert type(x.b) is Fraction and x.b == Fraction(1, 3)
+    t = EisensteinRational(True, False)
+    assert type(t.a) is int and type(t.b) is int and t == E_ONE
+
+
+def test_inverse_of_an_integer_is_a_fraction():
+    # int / int would give a float; inverse() must divide exactly
+    half = EisensteinRational(2).inverse()
+    assert half.a == Fraction(1, 2) and type(half.a) is Fraction
+    assert type(half.b) is int and half.b == 0
+    assert type(E_ONE.norm()) is int and type(half.norm()) is Fraction
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None, 1j])
+def test_non_rational_components_are_rejected(bad):
+    with pytest.raises(TypeError):
+        EisensteinRational(bad)
+    with pytest.raises(TypeError):
+        EisensteinRational(0, bad)
+
+
+@given(rationals)
+def test_equal_values_hash_equal_across_routes(q):
+    routes = [
+        q,
+        Fraction(2 * q.numerator, 2 * q.denominator),
+        EisensteinRational(q),
+        EisensteinRational(Fraction(2 * q.numerator, 2 * q.denominator), 0),
+        SplitQuaternion(q),
+        SplitQuaternion(EisensteinRational(q), E_ZERO),
+    ]
+    if q.denominator == 1:
+        routes += [q.numerator, EisensteinRational(q.numerator)]
+    for x in routes:
+        for y in routes:
+            assert x == y
+            assert hash(x) == hash(y)
+    assert len(set(routes)) == 1
+
+
+@given(eisenstein)
+def test_complex_split_quaternions_hash_like_their_complex_part(x):
+    p = SplitQuaternion.from_complex(x)
+    assert p == x and x == p
+    assert hash(p) == hash(x)
