@@ -44,7 +44,7 @@ from .groups import (
     is_simple_small,
     orbit_stabilizer,
 )
-from .matrices import ExactMatrix, h6
+from .matrices import ExactMatrix, h6, row_basis
 from .monomial import MonomialMatrix
 from .perms import Permutation
 from .report import Clause, Report, check
@@ -419,25 +419,12 @@ def compute_aut_star() -> Stabilizer:
 @cache
 def compute_aut_linear() -> Stabilizer:
     """The eps = 0 subgroup of the stabilizer (kernel of the flag map to Z/2),
-    generated by the index-2 Schreier generators over the transversal {e, g0}."""
+    generated by the Schreier generators of the flag's 2-state orbit."""
     aut = compute_aut_star()
-    plain = [g for g in aut.generators if g.eps == 0]
-    flagged = [g for g in aut.generators if g.eps == 1]
-    if not flagged:
-        kernel = list(aut.generators)
-    else:
-        g0 = flagged[0]
-        g0i = g0.inverse()
-        kernel = list(plain)
-        kernel += [g0 * s * g0i for s in plain]
-        kernel += [s * g0i for s in flagged]
-        kernel += [g0 * s for s in flagged]
-    unique: list[XElement] = []
-    for g in kernel:
-        if not g.is_identity() and g not in unique:
-            unique.append(g)
-    bsgs = bsgs_build([g.to_perm36() for g in unique])
-    return Stabilizer(tuple(unique), bsgs.order(), aut.orbit_size, bsgs)
+    flag = orbit_stabilizer(aut.generators, lambda f, g: (f + g.eps) % 2, 0)
+    gens = tuple(flag.stabilizer_generators)
+    bsgs = bsgs_build([g.to_perm36() for g in gens])
+    return Stabilizer(gens, bsgs.order(), aut.orbit_size, bsgs)
 
 
 def s6_presentation_words() -> tuple:
@@ -461,50 +448,55 @@ def m_vectors() -> list[tuple[int, ...]]:
     return [v for v in product(range(3), repeat=6) if sum(v) % 3 == 0]
 
 
+class _GF3(int):
+    """An integer mod 3 as a field element for row_basis."""
+
+    def __new__(cls, x):
+        return super().__new__(cls, x % 3)
+
+    def __sub__(self, other):
+        return _GF3(int(self) - other)
+
+    def __mul__(self, other):
+        return _GF3(int(self) * other)
+
+    def inverse(self) -> "_GF3":
+        return self  # 1 * 1 = 2 * 2 = 1 mod 3
+
+
 def _gf3_span_size(vectors) -> int:
-    basis: list[list[int]] = []
-    for v in vectors:
-        row = list(v)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if row[lead]:
-                c = row[lead] * pow(b[lead], -1, 3) % 3
-                row = [(x - c * y) % 3 for x, y in zip(row, b)]
-        if any(row):
-            basis.append(row)
-    return 3 ** len(basis)
+    return 3 ** len(row_basis(tuple(map(_GF3, v)) for v in vectors))
 
 
 def submodule_closure_size(v) -> int:
     """Size of the smallest set containing v closed under coordinate
-    permutations and componentwise addition: the span of the orbit."""
-    v = tuple(x % 3 for x in v)
+    permutations and componentwise addition: the span of v, grown by the
+    images of its basis vectors under two generators of the symmetric group
+    until both map every basis vector back into it."""
     gens = [Permutation.parse("(1,2)", 6), Permutation.parse("(1,2,3,4,5,6)", 6)]
     maps = [g.inverse().images for g in gens]
-    orbit = {v}
-    frontier = [v]
-    while frontier:
-        w = frontier.pop()
-        for m in maps:
-            u = tuple(w[m[i]] for i in range(6))
-            if u not in orbit:
-                orbit.add(u)
-                frontier.append(u)
-    return _gf3_span_size(sorted(orbit))
+    basis = row_basis([tuple(map(_GF3, v))])
+    done = 0
+    while done < len(basis):
+        w = basis[done]
+        done += 1
+        # the first `done` rows pass through row_basis unchanged
+        basis = row_basis(basis + [tuple(w[i] for i in m) for m in maps])
+    return 3 ** len(basis)
+
+
+def _expected_closure_size(v) -> int:
+    """Zero generates nothing, a nonzero constant the order-3 constant
+    module, and every non-constant zero-sum vector the whole module."""
+    if len(set(v)) == 1:
+        return 1 if v[0] == 0 else 3
+    return 243
 
 
 def m_submodule_check() -> bool:
-    """Every non-constant zero-sum vector generates the whole module; the
-    constants generate the order-3 constant module; zero generates nothing."""
-    for v in m_vectors():
-        size = submodule_closure_size(v)
-        if len(set(v)) == 1:
-            expected = 1 if v[0] == 0 else 3
-        else:
-            expected = 243
-        if size != expected:
-            return False
-    return True
+    """Every zero-sum vector generates a module of the size that
+    _expected_closure_size names."""
+    return all(submodule_closure_size(v) == _expected_closure_size(v) for v in m_vectors())
 
 
 # ---------------------------------------------------------------------------
@@ -687,15 +679,16 @@ def verify_prop2() -> Report:
 
 def verify_submodule() -> Report:
     vectors = m_vectors()
-    zero_ok = submodule_closure_size((0,) * 6) == 1
-    const_ok = all(submodule_closure_size((c,) * 6) == 3 for c in (1, 2))
-    nonconstant = [v for v in vectors if len(set(v)) > 1]
-    full = sum(1 for v in nonconstant if submodule_closure_size(v) == 243)
+    sizes = {v: submodule_closure_size(v) for v in vectors}
+    zero_ok = sizes[(0,) * 6] == 1
+    const_ok = all(sizes[(c,) * 6] == 3 for c in (1, 2))
+    full = sum(1 for v in vectors if len(set(v)) > 1 and sizes[v] == 243)
     clauses = [
         check("module_size", "the zero-sum phase module has 3^5 elements", 243, len(vectors)),
         check("zero_closure", "the zero vector generates the trivial module", True, zero_ok),
         check("constant_closures", "each nonzero constant generates the order-3 module", True, const_ok),
         check("nonconstant_closures", "all 240 non-constant vectors generate everything", 240, full),
-        check("overall", "submodule check", True, m_submodule_check()),
+        check("overall", "submodule check", True,
+              all(sizes[v] == _expected_closure_size(v) for v in vectors)),
     ]
     return Report("submodule", clauses)

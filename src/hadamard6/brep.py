@@ -19,7 +19,7 @@ from functools import cache
 
 from .autgroup import XElement, compute_aut_linear, compute_aut_star, star, tau1, tau2, tau2prime
 from .eisenstein import E_ZERO, EisensteinRational, SplitQuaternion
-from .matrices import ExactMatrix, h6
+from .matrices import ExactMatrix, h6, row_basis
 from .monomial import MonomialBMatrix
 from .report import Clause, Report, check
 
@@ -88,30 +88,7 @@ def commutant_dimension() -> int:
                     row[i * n + k] = row[i * n + k] + a[k * n + j]
                     row[k * n + j] = row[k * n + j] - a[i * n + k]
                 rows.append(row)
-    return unknowns - _eis_rank(rows)
-
-
-def _eis_rank(rows: list[list[EisensteinRational]]) -> int:
-    rows = [list(r) for r in rows]
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return unknowns - len(row_basis(rows))
 
 
 def verify_theorem(seed: int = 0) -> Report:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .matrices import H6_PHASES
+from .matrices import H6_PHASES, row_basis
 
 _MUL = (
     (0, 0, 0, 0),
@@ -56,20 +56,6 @@ GF4_ZERO, GF4_ONE, GF4_X, GF4_X2 = GF4(0), GF4(1), GF4(2), GF4(3)
 GF4_ALL = (GF4_ZERO, GF4_ONE, GF4_X, GF4_X2)
 
 
-def _reduce_basis(rows) -> list[tuple[GF4, ...]]:
-    basis: list[list[GF4]] = []
-    for row in rows:
-        row = list(row)
-        for b in basis:
-            lead = next(i for i, v in enumerate(b) if v)
-            if row[lead]:
-                f = row[lead] * b[lead].inverse()
-                row = [v + f * w for v, w in zip(row, b)]
-        if any(row):
-            basis.append(row)
-    return [tuple(b) for b in basis]
-
-
 class LinearCode:
     """Linear code over GF(4) given by generator rows (reduced internally)."""
 
@@ -78,7 +64,7 @@ class LinearCode:
         if any(len(r) != length for r in rows):
             raise ValueError("row length mismatch")
         self.length = length
-        self.basis = _reduce_basis(rows)
+        self.basis = row_basis(rows)
 
     @property
     def dimension(self) -> int:

@@ -172,6 +172,30 @@ class ExactMatrix:
         return "\n".join(" ".join(str(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows))
 
 
+def row_basis(rows) -> list[tuple]:
+    """Echelon basis of the row span over any field whose elements support
+    ``-``, ``*``, ``bool`` and ``.inverse()``.
+
+    Rows are taken in order; each is reduced against the basis rows before it
+    and kept, as reduced and not normalised, if anything nonzero is left.
+    The leading positions of the basis rows are therefore distinct, and a
+    basis fed back in as the first rows comes back unchanged.
+    """
+    basis: list[tuple] = []
+    pivots: list[tuple] = []  # (leading position, inverse of the entry there)
+    for row in rows:
+        row = tuple(row)
+        for b, (lead, inv) in zip(basis, pivots):
+            if row[lead]:
+                f = row[lead] * inv
+                row = tuple(x - f * y for x, y in zip(row, b))
+        if any(row):
+            lead = next(i for i, x in enumerate(row) if x)
+            basis.append(row)
+            pivots.append((lead, row[lead].inverse()))
+    return basis
+
+
 # The distinguished 6x6 matrix: symmetric, first row and column all ones,
 # trailing 5x5 block circulant with first row (1, w, w2, w2, w).
 H6_PHASES = (

@@ -81,14 +81,14 @@ def build_outer() -> AutoTable:
     return table
 
 
+@cache
+def _identity_table() -> AutoTable:
+    return AutoTable({g: g for g in all_s6()}, ())
+
+
 def is_inner(t: AutoTable) -> Permutation | None:
     """The conjugating element if the table is conjugation by one, else None."""
-    for h in all_s6():
-        hi = h.inverse()
-        if all(t.apply(s) == hi * s * h for s in t.generators):
-            if all(t.apply(g) == hi * g * h for g in t.table):
-                return h
-    return None
+    return compare_up_to_inner(t, _identity_table())
 
 
 def compare_up_to_inner(t1: AutoTable, t2: AutoTable) -> Permutation | None:

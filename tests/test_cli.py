@@ -149,6 +149,19 @@ def _src_env(**extra):
     return env
 
 
+def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):
+    # perfbench/tracer.py wraps functions by module and attribute path and
+    # fails a traced run on a name it cannot find; this catches a rename here
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import hadamard6.cli  # noqa: F401  (loads every module the tracer resolves)
+    import tracer
+
+    for _, module, attr, _, _ in tracer.TRACED:
+        _, original = tracer.resolve(module, attr)
+        assert callable(original), f"{module}.{attr}"
+
+
 def test_verify_output_does_not_depend_on_hash_seed():
     outputs = []
     for hash_seed in ("0", "1"):

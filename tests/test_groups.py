@@ -18,6 +18,7 @@ from hadamard6.groups import (
     derived_subgroup,
     hom_closure,
     is_simple_small,
+    normal_closure,
     orbit_stabilizer,
 )
 from hadamard6.perms import Permutation
@@ -168,6 +169,12 @@ def test_derived_subgroup_of_s3():
             assert db.contains(conjugate(h, g))
 
 
+def test_normal_closure_in_s4():
+    s4 = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]
+    for seed, order in (("(1,2)(3,4)", 4), ("(1,2,3)", 12), ("(1,2)", 24)):
+        assert bsgs_build(normal_closure(s4, [Permutation.parse(seed, 4)])).order() == order
+
+
 def test_center_of_dihedral():
     gens = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,3)", 4)]
     z = center_of(gens)
@@ -246,6 +253,15 @@ def test_hom_closure_rejects_non_homomorphism():
     dst = Permutation.parse("(1,2,3)", 3)   # order 3
     with pytest.raises(InconsistentImagesError):
         hom_closure([(src, dst)])
+
+
+def test_hom_closure_rejects_non_homomorphism_on_a_large_domain():
+    # S7 has 5040 elements; the breadth-first search alone must catch this
+    seven_cycle = Permutation.parse("(1,2,3,4,5,6,7)", 7)
+    src = Permutation.parse("(1,2)", 7)
+    assert len(hom_closure([(seven_cycle, seven_cycle), (src, src)])) == 5040
+    with pytest.raises(InconsistentImagesError):
+        hom_closure([(seven_cycle, seven_cycle), (src, Permutation.parse("(1,3)", 7))])
 
 
 def test_closure_cap():

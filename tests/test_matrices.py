@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,15 @@ from hypothesis import strategies as st
 from hadamard6.eisenstein import (
     BETA,
     E_ONE,
+    E_ZERO,
     OMEGA,
     OMEGA2,
     EisensteinRational,
     SplitQuaternion,
 )
-from hadamard6.matrices import ExactMatrix, NonUnimodularEntryError, h6
+from hadamard6.autgroup import _gf3_span_size
+from hadamard6.gf4 import GF4_ALL, GF4_ZERO
+from hadamard6.matrices import ExactMatrix, NonUnimodularEntryError, h6, row_basis
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 eisenstein = st.builds(EisensteinRational, rationals, rationals)
@@ -145,3 +150,50 @@ def test_json_rows_are_strings():
     rows = h6().to_json_rows()
     assert rows[0] == ["1", "1", "1", "1", "1", "1"]
     assert rows[1][2] == "w"
+
+
+def _span(rows, scalars, zero, length):
+    """Every linear combination of rows, by enumeration."""
+    return {
+        tuple(sum((c * row[i] for c, row in zip(coeffs, rows)), zero) for i in range(length))
+        for coeffs in product(scalars, repeat=len(rows))
+    }
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 4), max_size=4))
+def test_gf3_span_size_matches_enumeration(rows):
+    span = {tuple(x % 3 for x in v) for v in _span(rows, range(3), 0, 4)}
+    assert _gf3_span_size(rows) == len(span)
+
+
+@given(st.lists(st.tuples(*[st.sampled_from(GF4_ALL)] * 4), max_size=4))
+def test_gf4_row_basis_spans_the_rows(rows):
+    basis = row_basis(rows)
+    span = _span(rows, GF4_ALL, GF4_ZERO, 4)
+    assert len(span) == 4 ** len(basis)
+    assert _span(basis, GF4_ALL, GF4_ZERO, 4) == span
+
+
+def test_row_basis_rank_over_q_omega():
+    rng = random.Random(5)
+
+    def element():
+        return EisensteinRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-5, 5))
+
+    for rank in range(5):
+        # echelon rows with nonzero pivots are independent; the rest are
+        # combinations of them
+        independent = [[E_ZERO] * i + [OMEGA] + [element() for _ in range(4 - i)]
+                       for i in range(rank)]
+        dependent = []
+        for _ in range(3):
+            coeffs = [element() for _ in independent]
+            dependent.append([sum((c * row[j] for c, row in zip(coeffs, independent)), E_ZERO)
+                              for j in range(5)])
+        rows = independent + dependent
+        rng.shuffle(rows)
+        assert len(row_basis(rows)) == rank
+    H = h6()
+    rows = [H.row(i) for i in range(6)]
+    assert len(row_basis(rows)) == 6
+    assert len(row_basis(rows[:3] + [tuple(x - OMEGA2 * y for x, y in zip(rows[0], rows[2]))])) == 3
