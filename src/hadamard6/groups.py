@@ -38,6 +38,10 @@ class ClosureCapError(ValueError):
     """Enumeration exceeded its element cap."""
 
 
+# Largest group that center_of and is_simple_small will enumerate.
+_ENUMERATION_CAP = 10**6
+
+
 def commutator(a, b):
     """[a, b] = a^-1 b^-1 a b."""
     return a.inverse() * b.inverse() * a * b
@@ -304,19 +308,19 @@ def derived_subgroup(gens) -> list[Permutation]:
     ))
 
 
-def center_of(gens, cap: int = 10**6) -> list[Permutation]:
-    """All central elements; requires full enumeration (order <= cap)."""
+def center_of(gens) -> list[Permutation]:
+    """All central elements; requires full enumeration (order <= _ENUMERATION_CAP)."""
     gens = list(gens)
-    elements = closure(gens, cap=cap)
+    elements = closure(gens, cap=_ENUMERATION_CAP)
     return [g for g in elements if all(g * s == s * g for s in gens)]
 
 
-def is_simple_small(gens, cap: int = 10**6) -> bool:
-    """Simplicity test for a permutation group small enough to enumerate:
-    the normal closure of every nontrivial conjugacy class representative
-    must have the order of the whole group."""
+def is_simple_small(gens) -> bool:
+    """Simplicity test for a permutation group small enough to enumerate
+    (order <= _ENUMERATION_CAP): the normal closure of every nontrivial
+    conjugacy class representative must have the order of the whole group."""
     gens = list(gens)
-    elements = closure(gens, cap=cap)
+    elements = closure(gens, cap=_ENUMERATION_CAP)
     n = len(elements)
     if n == 1:
         return False

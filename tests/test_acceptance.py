@@ -175,7 +175,7 @@ def test_a09_intertwining_theorem():
 
 def test_a10_outer_automorphism():
     sigma = build_outer()
-    ok = sigma.is_bijective() and sigma.is_multiplicative(exhaustive=True)
+    ok = sigma.is_bijective() and sigma.is_multiplicative()
     ok = ok and str(sigma.apply(Permutation.parse("(1,2)", 6))) == "(1,2)(3,6)(4,5)"
     ok = ok and str(sigma.apply(Permutation.parse("(1,2,3,4,5,6)", 6))) == "(1,2,6)(3,5)"
     ok = ok and is_inner(sigma) is None

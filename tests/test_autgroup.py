@@ -25,7 +25,7 @@ from hadamard6.autgroup import (
     y_elements,
 )
 from hadamard6.eisenstein import E_ONE, EisensteinRational
-from hadamard6.groups import bsgs_build, closure, commutator, conjugate, orbit_stabilizer
+from hadamard6.groups import bsgs_build, center_of, closure, commutator, conjugate, orbit_stabilizer
 from hadamard6.matrices import ExactMatrix, H6_PHASES, h6
 from hadamard6.monomial import MonomialMatrix
 from hadamard6.perms import Permutation
@@ -330,6 +330,18 @@ def test_stabilizer_orders_against_brute_force_closure():
     lin_elements = closure([g.to_perm36() for g in lin.generators])
     assert len(lin_elements) == 1080
     assert set(lin_elements) <= set(elements)
+
+
+def test_six_point_projection_kernel_is_the_center():
+    # reference for prop2's central quotient: enumerate the linear stabilizer
+    # once, and read the kernel and image of g -> g.p.pi() off every element
+    lin = compute_aut_linear()
+    gens36 = [g.to_perm36() for g in lin.generators]
+    elements = [XElement.from_perm36(g) for g in closure(gens36)]
+    assert len(elements) == 1080
+    kernel = {g.to_perm36() for g in elements if g.p.pi().is_identity()}
+    assert kernel == set(center_of(gens36))
+    assert len({g.p.pi() for g in elements}) == 360
 
 
 def test_y_order_against_brute_force_closure():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hadamard6
 from hadamard6.cli import main
 
@@ -162,11 +164,12 @@ def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):
         assert callable(original), f"{module}.{attr}"
 
 
-def test_verify_output_does_not_depend_on_hash_seed():
+@pytest.mark.parametrize("suite", ["prop2", "outer"])
+def test_verify_output_does_not_depend_on_hash_seed(suite):
     outputs = []
     for hash_seed in ("0", "1"):
         proc = subprocess.run(
-            [sys.executable, "-m", "hadamard6.cli", "verify", "--only", "prop2", "--json"],
+            [sys.executable, "-m", "hadamard6.cli", "verify", "--only", suite, "--json"],
             env=_src_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
         )
         outputs.append(proc.stdout)

@@ -42,7 +42,37 @@ def test_sigma_is_a_bijective_table_of_720():
 
 
 def test_sigma_multiplicative_exhaustively():
-    assert build_outer().is_multiplicative(exhaustive=True)
+    # the 720 x 720 reference for the generator-induction proof
+    sigma = build_outer()
+    items = list(sigma.table.items())
+    for g, tg in items:
+        for h, th in items:
+            assert sigma.table[g * h] == tg * th
+    assert sigma.is_multiplicative()
+
+
+def test_is_multiplicative_rejects_two_swapped_entries():
+    sigma = build_outer()
+    a, b = [g for g in all_s6() if g not in sigma.generators and not g.is_identity()][:2]
+    table = dict(sigma.table)
+    table[a], table[b] = table[b], table[a]
+    broken = AutoTable(table, sigma.generators)
+    assert broken.is_bijective()
+    assert not broken.is_multiplicative()
+
+
+def test_is_multiplicative_rejects_generators_that_miss_the_domain():
+    # <(1,2)> has order 2 and never reaches (1,2,3); swapping two of its right
+    # cosets keeps T(g*s) = T(g)*T(s) for every g, so a loop over table
+    # entries times generators would accept this non-homomorphism
+    s = p6("(1,2)")
+    a, b = p6("(1,2,3)"), p6("(1,3,2)")
+    table = {g: g for g in all_s6()}
+    table[a], table[a * s], table[b], table[b * s] = b, b * s, a, a * s
+    t = AutoTable(table, (s,))
+    assert t.is_bijective()
+    assert all(t.table[g * s] == t.table[g] * t.table[s] for g in t.table)
+    assert not t.is_multiplicative()
 
 
 def test_sigma_is_outer():
@@ -118,7 +148,7 @@ def test_totals_action_is_an_outer_automorphism():
     t = totals_outer()
     assert t.apply(Permutation.identity(6)).is_identity()
     assert t.is_bijective()
-    assert t.is_multiplicative(exhaustive=False)
+    assert t.is_multiplicative()
     assert is_inner(t) is None
 
 
