@@ -37,7 +37,6 @@ from .groups import (
     bsgs_build,
     center_of,
     check_relations,
-    closure,
     commutator,
     conjugate,
     derived_subgroup,
@@ -306,8 +305,9 @@ def y_bsgs() -> BSGS:
 
 
 @cache
-def y_elements() -> tuple[XElement, ...]:
-    return tuple(closure([tau1(), tau2prime()]))
+def stabilizer_span() -> BSGS:
+    """Chain of <tau1, tau2 *>; prop2 proves it is the stabilizer of h6()."""
+    return bsgs_build([tau1().to_perm36(), (tau2() * star()).to_perm36()])
 
 
 def _row_col_block(p: int) -> int:
@@ -321,8 +321,8 @@ def _row_restriction_block(p: int) -> int:
 
 
 @dataclass(eq=False)
-class DiagonalSubgroup:
-    """The subgroup of pairs of diagonal matrices, as computed from a chain."""
+class Subgroup:
+    """A subgroup of X, as computed from a chain of its 36-point image."""
 
     generators: tuple[XElement, ...]
     order: int
@@ -330,7 +330,7 @@ class DiagonalSubgroup:
 
 
 @cache
-def n_subgroup() -> DiagonalSubgroup:
+def n_subgroup() -> Subgroup:
     """Kernel of the block action of <tau1, tau2> on the 12 row/column blocks.
 
     Computed from a stabilizer chain whose base runs through 12 extra points
@@ -352,7 +352,7 @@ def n_subgroup() -> DiagonalSubgroup:
     kernel48 = chain.level_group_generators(12)
     kernel36 = [Permutation(g.images[:36]) for g in kernel48]
     nb = bsgs_build(kernel36, degree=36)
-    return DiagonalSubgroup(
+    return Subgroup(
         tuple(XElement.from_perm36(g) for g in kernel36), nb.order(), nb
     )
 
@@ -417,14 +417,13 @@ def compute_aut_star() -> Stabilizer:
 
 
 @cache
-def compute_aut_linear() -> Stabilizer:
-    """The eps = 0 subgroup of the stabilizer (kernel of the flag map to Z/2),
-    generated by the Schreier generators of the flag's 2-state orbit."""
-    aut = compute_aut_star()
-    flag = orbit_stabilizer(aut.generators, lambda f, g: (f + g.eps) % 2, 0)
+def compute_aut_linear() -> Subgroup:
+    """The eps = 0 subgroup of <tau1, tau2 *>, the stabilizer of h6() by prop2:
+    Schreier generators of the conjugation flag's 2-state orbit."""
+    flag = orbit_stabilizer((tau1(), tau2() * star()), lambda f, g: (f + g.eps) % 2, 0)
     gens = tuple(flag.stabilizer_generators)
     bsgs = bsgs_build([g.to_perm36() for g in gens])
-    return Stabilizer(gens, bsgs.order(), aut.orbit_size, bsgs)
+    return Subgroup(gens, bsgs.order(), bsgs)
 
 
 def s6_presentation_words() -> tuple:
@@ -549,10 +548,9 @@ def verify_prop1() -> Report:
 
     clauses.append(check("order_Y", "permutation-pair subgroup <tau1, tau2'>", 720, y_bsgs().order()))
 
-    trivial_meet = sum(
-        1 for y in y_elements() if y.p.perm.is_identity() and y.q.perm.is_identity()
-    )
-    clauses.append(check("y_meet_n", "Y intersects N trivially", 1, trivial_meet))
+    # Y lies in X0, so the kernel of its block action is Y meet N
+    clauses.append(check("y_meet_n", "Y intersects N trivially", 1,
+                         action_kernel_order(y_bsgs(), _row_col_block)))
 
     s = (tau1() * tau2prime()).to_perm36()
     t = tau2prime().to_perm36()
@@ -592,7 +590,7 @@ def verify_prop2() -> Report:
               x_bsgs().order(), aut.orbit_size * aut.order)
     )
 
-    span = bsgs_build([tau1().to_perm36(), (tau2() * star()).to_perm36()])
+    span = stabilizer_span()
     clauses.append(check("span_order", "<tau1, tau2 *> has order 2160", 2160, span.order()))
     contained = all(span.contains(g.to_perm36()) for g in aut.generators)
     clauses.append(

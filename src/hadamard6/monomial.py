@@ -168,6 +168,11 @@ class MonomialBMatrix:
             phases.append((a, (b1 + b2) % 2))
         return MonomialBMatrix(tuple(phases), self.perm * other.perm)
 
+    def inverse(self) -> "MonomialBMatrix":
+        inv = self.perm.inverse()  # w^a inverts to w^-a; w^a B is an involution
+        phases = map(self.phases.__getitem__, inv.images)
+        return MonomialBMatrix(tuple((a if b else -a, b) for a, b in phases), inv)
+
     def to_matrix(self) -> ExactMatrix:
         n = self.degree
         entries = [SQ_ZERO] * (n * n)

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
+from hadamard6 import brep
 from hadamard6.autgroup import XElement, star, tau1, tau2, tau2prime
 from hadamard6.brep import (
+    BRepElement,
     b_rep,
     commutant_dimension,
     verify_intertwining,
     verify_theorem,
 )
 from hadamard6.eisenstein import SplitQuaternion
+from hadamard6.groups import hom_closure
 from hadamard6.matrices import ExactMatrix, h6
 from hadamard6.monomial import MonomialBMatrix
 from hadamard6.perms import Permutation
@@ -89,7 +92,7 @@ def test_commutant_is_one_dimensional():
 
 
 def test_theorem_report_passes():
-    report = verify_theorem(seed=0)
+    report = verify_theorem()
     assert report.passed, [c.id for c in report.failures()]
     assert {c.id for c in report.clauses} >= {
         "brep_homomorphism",
@@ -101,8 +104,26 @@ def test_theorem_report_passes():
     }
 
 
-def test_theorem_report_seed_independent_conclusion():
-    assert verify_theorem(seed=12345).passed
+def _without_beta(rep):
+    return BRepElement(*(MonomialBMatrix(tuple((a, 0) for a, _ in m.phases), m.perm)
+                         for m in (rep.a, rep.b)))
+
+
+def _swapped(rep):
+    return BRepElement(rep.b, rep.a)
+
+
+@pytest.mark.parametrize("wrong", [_without_beta, _swapped], ids=["without_B", "swapped"])
+def test_brep_homomorphism_clause_fails_on_a_wrong_generator_image(monkeypatch, wrong):
+    # tau2 * gets a wrong image.  Without B, two words for one element get
+    # different images and the closure raises; with the components swapped,
+    # the images still define a homomorphism, but not the formula's one.
+    t2s = tau2() * star()
+    monkeypatch.setattr(brep, "hom_closure", lambda pairs: hom_closure(
+        [(g, wrong(im) if g == t2s else im) for g, im in pairs]))
+    by_id = {c.id: c for c in verify_theorem().clauses}
+    assert not by_id["brep_homomorphism"].passed
+    assert not by_id["intertwining"].passed
 
 
 @pytest.mark.parametrize("element", [tau1, lambda: tau2() * star()],

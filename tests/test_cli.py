@@ -164,7 +164,7 @@ def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):
         assert callable(original), f"{module}.{attr}"
 
 
-@pytest.mark.parametrize("suite", ["prop2", "outer"])
+@pytest.mark.parametrize("suite", ["prop2", "theorem", "outer"])
 def test_verify_output_does_not_depend_on_hash_seed(suite):
     outputs = []
     for hash_seed in ("0", "1"):
@@ -175,6 +175,31 @@ def test_verify_output_does_not_depend_on_hash_seed(suite):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["pass"] is True
+
+
+def test_theorem_output_depends_on_seed_only_through_the_echo():
+    docs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hadamard6.cli", "verify", "--only", "theorem", "--json",
+             "--seed", seed],
+            env=_src_env(), capture_output=True, check=True,
+        )
+        docs.append(json.loads(proc.stdout))
+    assert [d.pop("seed") for d in docs] == [1, 2]
+    assert docs[0] == docs[1]
+    assert docs[0]["pass"] is True
+
+
+def test_theorem_suite_never_runs_the_orbit_search():
+    code = (
+        "from hadamard6 import autgroup, cli\n"
+        "assert cli.main(['verify', '--only', 'theorem']) == 0\n"
+        "print(autgroup.compute_aut_star.cache_info().misses)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 def test_demo_scripts_run():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hadamard6.eisenstein import E_ONE, E_ZERO, OMEGA, SplitQuaternion
 from hadamard6.matrices import ExactMatrix
@@ -154,6 +156,20 @@ def test_bmatrix_identity_law():
         a = random_bmonomial(rng)
         assert e * a == a
         assert a * e == a
+
+
+bmonomial6 = st.builds(
+    MonomialBMatrix,
+    st.tuples(*[st.tuples(st.integers(0, 2), st.integers(0, 1))] * 6),
+    st.permutations(range(6)).map(Permutation),
+)
+
+
+@given(bmonomial6)
+def test_bmatrix_inverse_is_two_sided(m):
+    assert (m * m.inverse()).is_identity()
+    assert (m.inverse() * m).is_identity()
+    assert m.to_matrix() @ m.inverse().to_matrix() == ExactMatrix.identity(6, SplitQuaternion)
 
 
 def test_bmatrix_text():
