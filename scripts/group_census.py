@@ -15,7 +15,7 @@ from hadamard6.autgroup import (
 
 
 def main():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = [
         ("X = <tau1, tau2, *>", x_bsgs().order()),
         ("X0 = <tau1, tau2>", x0_bsgs().order()),
@@ -36,7 +36,7 @@ def main():
     print(f"\nstabilizer generators found by the orbit search:")
     for g in aut.generators:
         print(f"  {g}")
-    print(f"\ntotal time {time.time() - t0:.1f}s")
+    print(f"\ntotal time {time.perf_counter() - t0:.1f}s")
 
 
 if __name__ == "__main__":

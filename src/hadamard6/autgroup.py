@@ -27,16 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import getitem
 
 from .eisenstein import E_ONE, OMEGA, OMEGA2, OMEGA_POWERS, EisensteinRational
 from .groups import (
+    _ENUMERATION_CAP,
     BSGS,
     BlockSystemError,
     action_kernel_order,
     bsgs_build,
     center_of,
     check_relations,
+    closure,
     commutator,
     conjugate,
     derived_subgroup,
@@ -366,54 +367,62 @@ class Stabilizer:
 
 
 @cache
-def _phase_map(g: Permutation) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """H -> H^g on phase states (entries as exponents in Z/3), read off the
-    36-point image alone.  If row state (0, r) goes to (a, r') and column
-    state (0, j) to (b, j'), column state (-h, j) goes to (b - s*h, j') with
-    s = -1 iff g conjugates, else 1, so entry (r', j') of H^g is a - b + s*h.
-    Stored per target entry: the source index 6r + j and the table h -> value."""
+def _phase_map(g: Permutation) -> bytes:
+    """H -> H^g on phase states, read off the 36-point image alone, as a
+    bytes.translate table on the 108 points 3k + h (entry k = 6r + j has
+    phase h, an exponent of w).  If row state (0, r) goes to (a, r') and
+    column state (0, j) to (b, j'), column state (-h, j) goes to (b - s*h, j')
+    with s = -1 iff g conjugates, else 1, so entry (r', j') of H^g is
+    a - b + s*h: point 3(6r + j) + h goes to 3(6r' + j') + (a - b + s*h)."""
     img = g.images
     s = (img[24] - img[18]) // 6
-    source, tables = [0] * 36, [()] * 36
+    table = bytearray(256)
     for r in range(6):
         a, r2 = divmod(img[r], 6)
         for j in range(6):
             b, j2 = divmod(img[18 + j] - 18, 6)
-            source[6 * r2 + j2] = 6 * r + j
-            tables[6 * r2 + j2] = tuple((a - b + s * h) % 3 for h in range(3))
-    return tuple(source), tuple(tables)
+            for h in range(3):
+                table[18 * r + 3 * j + h] = 18 * r2 + 3 * j2 + (a - b + s * h) % 3
+    return bytes(table)
 
 
-def _phase_act(state: tuple[int, ...], g: Permutation) -> tuple[int, ...]:
-    source, tables = _phase_map(g)
-    return tuple(map(getitem, tables, map(state.__getitem__, source)))
+def _phase_act(state: bytes, g: Permutation) -> bytes:
+    """A phase state is the sorted bytes of its 36 points 3k + h, so byte k
+    lies in 3k..3k+2; the image points are sorted back into that order."""
+    return bytes(sorted(state.translate(_phase_map(g))))
 
 
 @cache
 def compute_aut_star() -> Stabilizer:
     """Stabilizer of the Hadamard matrix under X, by orbit enumeration over
-    phase states with a transversal of 36-point permutations; Schreier
-    generators are sifted into a growing BSGS, and the kept ones are converted
+    phase states (see _phase_act) with a transversal of 36-point permutations.
+    Every non-identity Schreier generator is tested by a lookup in the set of
+    all elements of the group generated by the kept ones, enumerated again
+    each time one is kept; there is no stop at a known order.  The kept
+    generators' BSGS must have the order of that set, and they are converted
     back once and checked to fix h6() under the exact matrix action."""
     kept: list[Permutation] = []
-    chain: list[BSGS] = []
+    elements: set[Permutation] = set()
 
     def keep(candidate: Permutation) -> bool:
-        if chain and chain[0].contains(candidate):
+        nonlocal elements
+        if candidate in elements:
             return False
         kept.append(candidate)
-        chain[:] = [bsgs_build(kept)]
+        elements = set(closure(kept, cap=_ENUMERATION_CAP))
         return True
 
     H = h6()
-    seed = tuple(_UNIT_PHASE[x] for x in H.entries)
+    seed = bytes(3 * k + _UNIT_PHASE[x] for k, x in enumerate(H.entries))
     gens = [g.to_perm36() for g in x_generators()]
     result = orbit_stabilizer(gens, _phase_act, seed, keep=keep)
-    elements = tuple(XElement.from_perm36(g) for g in kept)
-    if any(g.act(H) != H for g in elements):
+    stab = bsgs_build(kept)
+    if stab.order() != len(elements):
+        raise AssertionError("the stabilizer's chain and its enumeration disagree on its order")
+    generators = tuple(XElement.from_perm36(g) for g in kept)
+    if any(g.act(H) != H for g in generators):
         raise AssertionError("a kept Schreier generator does not fix h6()")
-    stab = chain[0]
-    return Stabilizer(elements, stab.order(), result.orbit_size, stab)
+    return Stabilizer(generators, stab.order(), result.orbit_size, stab)
 
 
 @cache

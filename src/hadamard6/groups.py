@@ -38,7 +38,8 @@ class ClosureCapError(ValueError):
     """Enumeration exceeded its element cap."""
 
 
-# Largest group that center_of and is_simple_small will enumerate.
+# Largest group that center_of, is_simple_small and the orbit search in
+# autgroup.compute_aut_star will enumerate.
 _ENUMERATION_CAP = 10**6
 
 
@@ -231,10 +232,10 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
     Identity candidates (u_s * g == u_{s.g}) are skipped before keep sees
     them.  keep(candidate) decides which Schreier generators to retain; the
     default drops duplicates.  Any generator it rejects must already lie in
-    the group generated by the retained ones (the default and the sift-based
-    filters used by callers guarantee this), so the kept set generates the
-    full stabilizer.  The action is spot-checked for consistency on generator
-    pairs before the search starts.
+    the group generated by the retained ones (the default and the exact
+    membership tests used by callers guarantee this), so the kept set
+    generates the full stabilizer.  The action is spot-checked for
+    consistency on generator pairs before the search starts.
     """
     gens = list(gens)
     if not gens:

@@ -9,6 +9,7 @@ omitted, identity printed as "id"; parse(str(g)) == g.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
 
@@ -77,10 +78,14 @@ class Permutation:
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        if len(self.images) != len(other.images):
+        a = self.images
+        if len(a) != len(other.images):
             raise ValueError("degree mismatch")
-        o = other.images
-        return Permutation._raw(tuple(o[x] for x in self.images))
+        if len(a) < 2:
+            # itemgetter() raises and itemgetter(x) returns a scalar; the
+            # identity is the only permutation of 0 or 1 points
+            return self
+        return Permutation._raw(itemgetter(*a)(other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)

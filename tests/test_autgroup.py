@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from hadamard6 import autgroup
 from hadamard6.autgroup import (
-    _UNIT_PHASE,
     XElement,
     _phase_act,
     compute_aut_linear,
@@ -249,8 +249,13 @@ def test_small_orbits_of_h6():
     assert res2.orbit_size * stab2.order() == 2
 
 
-def phase_state(H):
-    return tuple(_UNIT_PHASE[x] for x in H.entries)
+W = EisensteinRational(0, 1)
+PHASES = {E_ONE: 0, W: 1, W * W: 2}
+
+
+def byte_state(H):
+    # entry k = 6r + j with phase w^h is the point 3k + h of a 108-point set
+    return bytes(3 * k + PHASES[x] for k, x in enumerate(H.entries))
 
 
 def test_phase_action_matches_the_matrix_action():
@@ -262,10 +267,42 @@ def test_phase_action_matches_the_matrix_action():
     for _ in range(240):
         g = random_word(rng, length=rng.randrange(1, 9))
         image = g.act(H)
-        assert _phase_act(phase_state(H), g.to_perm36()) == phase_state(image)
+        assert _phase_act(byte_state(H), g.to_perm36()) == byte_state(image)
         flags.add(g.eps)
         H = image if rng.random() < 0.7 else h6()
     assert flags == {0, 1}
+
+
+def test_phase_states_hold_one_point_per_entry():
+    rng = random.Random(103)
+    identity = Permutation.identity(36)
+    state = byte_state(h6())
+    for _ in range(100):
+        state = _phase_act(state, random_word(rng, length=rng.randrange(1, 9)).to_perm36())
+        assert len(state) == 36
+        assert all(3 * k <= p <= 3 * k + 2 for k, p in enumerate(state))
+        assert _phase_act(state, identity) == state
+
+
+def test_orbit_search_tests_every_schreier_generator(monkeypatch):
+    # pins the work of the search: every non-identity Schreier generator
+    # reaches keep, so no candidate is skipped and nothing stops at a known
+    # order
+    verdicts = []
+    search = autgroup.orbit_stabilizer
+
+    def counting_search(gens, act, seed, keep=None):
+        def counted(candidate):
+            verdicts.append(keep(candidate))
+            return verdicts[-1]
+
+        return search(gens, act, seed, keep=counted)
+
+    monkeypatch.setattr(autgroup, "orbit_stabilizer", counting_search)
+    aut = compute_aut_star.__wrapped__()
+    assert len(verdicts) == 50_627
+    assert verdicts.count(True) == 2
+    assert aut.orbit_size == 39_366
 
 
 def test_kept_stabilizer_generators_are_pinned():

@@ -6,6 +6,9 @@ from hadamard6.perms import Permutation
 
 perm6 = st.permutations(range(6)).map(Permutation)
 perm9 = st.permutations(range(9)).map(Permutation)
+perm_pairs = st.integers(2, 40).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+)
 
 
 def test_parse_five_cycle():
@@ -94,3 +97,23 @@ def test_power():
 def test_degree_mismatch():
     with pytest.raises(ValueError):
         Permutation.parse("(1,2)", 2) * Permutation.parse("(1,2)", 3)
+    for m, n in ((0, 1), (1, 0), (1, 2), (2, 1)):
+        with pytest.raises(ValueError):
+            Permutation.identity(m) * Permutation.identity(n)
+
+
+def test_products_on_zero_and_one_points():
+    # below two points the product does not go through itemgetter, which
+    # raises on no indices and returns a scalar on one
+    for n in (0, 1):
+        e = Permutation(range(n))
+        assert (e * e).images == tuple(range(n))
+
+
+
+@given(perm_pairs)
+def test_product_matches_the_reference(pair):
+    a, b = pair
+    product = Permutation(a) * Permutation(b)
+    assert type(product.images) is tuple
+    assert product.images == tuple(b[x] for x in a)
