@@ -144,7 +144,7 @@ class XElement:
                 if eps:
                     nb = (-nb) % 3
                 img[18 + 6 * b + j] = 18 + 6 * nb + pj
-        return Permutation._raw(tuple(img))
+        return Permutation._raw(bytes(img))
 
     def to_perm18(self) -> Permutation:
         """The row-only action; its kernel on X has order 3^5."""
@@ -348,7 +348,7 @@ def n_subgroup() -> Subgroup:
                 block_image[b] = t
             elif block_image[b] != t:
                 raise BlockSystemError("row/column blocks are not preserved")
-        extended.append(Permutation(g.images + tuple(36 + b for b in block_image)))
+        extended.append(Permutation(g.images + bytes(36 + b for b in block_image)))
     chain = bsgs_build(extended, base_prefix=tuple(range(36, 48)))
     kernel48 = chain.level_group_generators(12)
     kernel36 = [Permutation(g.images[:36]) for g in kernel48]

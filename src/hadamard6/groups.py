@@ -115,7 +115,6 @@ class BSGS:
             for i in range(len(self.base))
         ]
         self._transversals: list[dict[int, Permutation] | None] = [None] * len(self.base)
-        self._inverses: list[dict[int, Permutation]] = [{} for _ in self.base]
         if not self.base:
             return
         for i in reversed(range(len(self.base))):
@@ -135,7 +134,6 @@ class BSGS:
                     T[q] = up * g
                     queue.append(q)
         self._transversals[i] = T
-        self._inverses[i] = {}
 
     def _strip(self, g: Permutation, start: int) -> tuple[Permutation, int]:
         for j in range(start, len(self.base)):
@@ -143,10 +141,7 @@ class BSGS:
             T = self._transversals[j]
             if p not in T:
                 return g, j
-            u = self._inverses[j].get(p)
-            if u is None:
-                u = self._inverses[j][p] = T[p].inverse()
-            g = g * u
+            g = g * T[p].inverse()
         return g, len(self.base)
 
     def _schreier_sims(self, i: int) -> None:
@@ -168,7 +163,6 @@ class BSGS:
                     self.base.append(h.min_moved())
                     self._level_gens.append([])
                     self._transversals.append(None)
-                    self._inverses.append({})
                 for k in range(i + 1, j + 1):
                     self._level_gens[k].append(h)
                 for k in range(j, i, -1):

@@ -1,26 +1,30 @@
-"""Permutations on n points with cycle-notation I/O.
+"""Permutations on n <= 256 points with cycle-notation I/O.
 
 Right action throughout: i^(g*h) = (i^g)^h, so g*h means "apply g, then h".
 Points are 0-based internally; cycle notation is 1-based at the text boundary.
 Printing uses disjoint cycles ordered by smallest moved point, fixed points
 omitted, identity printed as "id"; parse(str(g)) == g.
+
+The images are a bytes object of length n, so a product is one
+bytes.translate call (a's images looked up in b's, padded to a 256-byte
+table) and an inverse is one bytes.maketrans call.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+_IDENT = bytes(range(256))
 
 
 class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        if sorted(images) != list(range(n)):
+        # tuple() rejects an int, which bytes() would read as a length
+        images = bytes(tuple(images))
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images do not form a bijection of 0..n-1")
         self.images = images
 
@@ -33,7 +37,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls._raw(tuple(range(n)))
+        return cls._raw(_IDENT[:n])
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "Permutation":
@@ -79,19 +83,14 @@ class Permutation:
         if not isinstance(other, Permutation):
             return NotImplemented
         a = self.images
-        if len(a) != len(other.images):
+        b = other.images
+        if len(a) != len(b):
             raise ValueError("degree mismatch")
-        if len(a) < 2:
-            # itemgetter() raises and itemgetter(x) returns a scalar; the
-            # identity is the only permutation of 0 or 1 points
-            return self
-        return Permutation._raw(itemgetter(*a)(other.images))
+        return Permutation._raw(a.translate(b + _IDENT[len(a):]))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._raw(tuple(inv))
+        a = self.images
+        return Permutation._raw(a.maketrans(a, _IDENT[: len(a)])[: len(a)])
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -106,7 +105,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _IDENT[: len(self.images)]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles as 1-based tuples, fixed points omitted."""

@@ -178,6 +178,20 @@ def test_from_perm36_rejects_foreign_permutations():
         XElement.from_perm36(foreign)
 
 
+def test_embeddings_and_n_subgroup_yield_bytes_images():
+    # a tuple passed to Permutation._raw would compare unequal to the same
+    # permutation stored as bytes, without any error
+    perms = []
+    for g in (tau1(), tau2(), star()):
+        perms += [g.to_perm36(), g.to_perm18(), g.p.perm, g.q.perm]
+    N = n_subgroup()
+    perms += N.bsgs.strong_generators()
+    for n in N.generators:
+        perms += [n.to_perm36(), n.p.perm, n.q.perm]
+    for p in perms:
+        assert type(p.images) is bytes
+
+
 def _gf3_nullspace_basis(columns):
     # nullspace of the 6 x k matrix whose columns are the given vectors
     k = len(columns)

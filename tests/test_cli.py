@@ -164,17 +164,31 @@ def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):
         assert callable(original), f"{module}.{attr}"
 
 
-@pytest.mark.parametrize("suite", ["prop2", "theorem", "outer"])
+# Permutation images are bytes, whose hashes PYTHONHASHSEED salts
+@pytest.mark.parametrize("suite", ["prop2", "theorem", "outer", "all"])
 def test_verify_output_does_not_depend_on_hash_seed(suite):
+    only = [] if suite == "all" else ["--only", suite]
     outputs = []
     for hash_seed in ("0", "1"):
         proc = subprocess.run(
-            [sys.executable, "-m", "hadamard6.cli", "verify", "--only", suite, "--json"],
+            [sys.executable, "-m", "hadamard6.cli", "verify", *only, "--json"],
             env=_src_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["pass"] is True
+
+
+def test_outer_table_does_not_depend_on_hash_seed():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "hadamard6.cli", "outer", "table"],
+            env=_src_env(PYTHONHASHSEED=hash_seed), capture_output=True, check=True,
+        ).stdout
+        for hash_seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["table"]) == 720
 
 
 def test_theorem_output_depends_on_seed_only_through_the_echo():

@@ -130,7 +130,7 @@ def test_orbit_stabilizer_never_offers_identity_candidates():
     assert offered == []
 
 
-def _uncached_sift(chain, g):
+def _reference_sift(chain, g):
     for j, b in enumerate(chain.base):
         p = g.apply(b)
         T = chain._transversals[j]
@@ -140,13 +140,13 @@ def _uncached_sift(chain, g):
     return g
 
 
-def test_cached_inverses_follow_a_rebuilt_transversal():
+def test_sift_follows_a_rebuilt_transversal():
     c = Permutation.parse("(1,2,3,4,5,6)", 6)
     t = Permutation.parse("(1,5)(2,4)", 6)
     s6 = closure([c, Permutation.parse("(1,2)", 6)])
     chain = bsgs_build([c])
     for g in s6:
-        chain.sift(g)  # fill the inverse cache of the cyclic chain
+        chain.sift(g)  # sift through the cyclic chain before it grows
     # extend level 0 by a reflection: the dihedral group of order 12 reaches
     # point 5 through t where the cyclic chain used c^4
     chain._level_gens[0].append(t)
@@ -155,7 +155,7 @@ def test_cached_inverses_follow_a_rebuilt_transversal():
     assert chain.order() == len(dihedral) == 12
     for g in s6:
         assert chain.contains(g) == (g in dihedral)
-        assert chain.sift(g) == _uncached_sift(chain, g)
+        assert chain.sift(g) == _reference_sift(chain, g)
 
 
 def test_derived_subgroup_of_s3():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,17 +105,59 @@ def test_degree_mismatch():
 
 
 def test_products_on_zero_and_one_points():
-    # below two points the product does not go through itemgetter, which
-    # raises on no indices and returns a scalar on one
     for n in (0, 1):
         e = Permutation(range(n))
-        assert (e * e).images == tuple(range(n))
-
+        assert (e * e).images == bytes(range(n))
 
 
 @given(perm_pairs)
 def test_product_matches_the_reference(pair):
     a, b = pair
     product = Permutation(a) * Permutation(b)
-    assert type(product.images) is tuple
-    assert product.images == tuple(b[x] for x in a)
+    assert type(product.images) is bytes
+    assert product.images == bytes(b[x] for x in a)
+
+
+def reference_inverse(images):
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return bytes(inv)
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_inverse_matches_the_reference(a):
+    inverse = Permutation(a).inverse()
+    assert type(inverse.images) is bytes
+    assert inverse.images == reference_inverse(a)
+
+
+def test_degree_256_product_and_inverse():
+    rng = random.Random(256)
+    a, b = rng.sample(range(256), 256), rng.sample(range(256), 256)
+    pa, pb = Permutation(a), Permutation(b)
+    assert (pa * pb).images == bytes(b[x] for x in a)
+    assert pa.inverse().images == reference_inverse(a)
+    assert (pa * pa.inverse()).is_identity()
+    assert not pa.is_identity() and Permutation.identity(256).is_identity()
+
+
+@pytest.mark.parametrize("images", [[0, 0], [1, 2], [0, -1], range(257)])
+def test_constructor_rejects_non_permutations(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+def test_constructor_rejects_an_int():
+    with pytest.raises(TypeError):
+        Permutation(1)  # not read as bytes(1), the identity on one point
+
+
+def test_every_operation_yields_bytes_images():
+    # a tuple reaching Permutation._raw would compare unequal to the same
+    # permutation stored as bytes, without any error
+    g = Permutation.parse("(1,2,3)(4,5)", 6)
+    h = Permutation([1, 0, 2, 3, 4, 5])
+    for p in (Permutation.identity(6), Permutation.parse("id", 6), g, h,
+              g * h, g.inverse(), g**-2):
+        assert type(p.images) is bytes
