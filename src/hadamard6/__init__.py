@@ -9,7 +9,6 @@ from .autgroup import (
     XElement,
     compute_aut_linear,
     compute_aut_star,
-    m_submodule_check,
     n_element,
     n_subgroup,
     star,
@@ -92,7 +91,6 @@ __all__ = [
     "hom_closure",
     "is_inner",
     "is_simple_small",
-    "m_submodule_check",
     "n_element",
     "n_subgroup",
     "orbit_stabilizer",

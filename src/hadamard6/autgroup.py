@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .eisenstein import E_ONE, OMEGA, OMEGA2, OMEGA_POWERS, EisensteinRational
+from .eisenstein import E_ONE, OMEGA, OMEGA2, EisensteinRational
 from .groups import (
     _ENUMERATION_CAP,
     BSGS,
-    BlockSystemError,
     action_kernel_order,
     bsgs_build,
     center_of,
@@ -42,6 +41,7 @@ from .groups import (
     conjugate,
     derived_subgroup,
     is_simple_small,
+    normal_closure,
     orbit_stabilizer,
 )
 from .matrices import ExactMatrix, h6, row_basis
@@ -103,23 +103,13 @@ class XElement:
         ent = H.entries
         eps = self.eps
         out = []
-        if all(e in _UNIT_PHASE for e in ent):
-            for i in range(n):
-                ii = sgi[i]
-                row = ent[ii * n :]
-                di = d[ii]
-                for j in range(n):
-                    jj = pgi[j]
-                    k = (_UNIT_PHASE[row[jj]] + q[jj] - di) % 3
-                    out.append(OMEGA_POWERS[(-k) % 3 if eps else k])
-        else:
-            for i in range(n):
-                ii = sgi[i]
-                di = d[ii]
-                for j in range(n):
-                    jj = pgi[j]
-                    v = ent[ii * n + jj].times_omega_pow(q[jj] - di)
-                    out.append(v.conj() if eps else v)
+        for i in range(n):
+            ii = sgi[i]
+            di = d[ii]
+            for j in range(n):
+                jj = pgi[j]
+                v = ent[ii * n + jj].times_omega_pow(q[jj] - di)
+                out.append(v.conj() if eps else v)
         return ExactMatrix._raw(n, n, tuple(out), EisensteinRational)
 
     def to_perm36(self) -> Permutation:
@@ -323,7 +313,8 @@ def _row_restriction_block(p: int) -> int:
 
 @dataclass(eq=False)
 class Subgroup:
-    """A subgroup of X, as computed from a chain of its 36-point image."""
+    """A subgroup of X: generators, and the order and chain of their 36-point
+    images."""
 
     generators: tuple[XElement, ...]
     order: int
@@ -332,30 +323,15 @@ class Subgroup:
 
 @cache
 def n_subgroup() -> Subgroup:
-    """Kernel of the block action of <tau1, tau2> on the 12 row/column blocks.
+    """The normal closure of n2 = [tau2, *] in <tau1, tau2>.
 
-    Computed from a stabilizer chain whose base runs through 12 extra points
-    representing the blocks; the strong generators fixing all of them generate
-    the kernel exactly.
+    n2 is a diagonal pair, so this lies in the kernel of the action of
+    <tau1, tau2> on the 12 row/column blocks; prop1 proves it is the whole
+    kernel by matching its order with |<tau1, tau2>| / |block image|.
     """
-    gens36 = [tau1().to_perm36(), tau2().to_perm36()]
-    extended = []
-    for g in gens36:
-        block_image = [None] * 12
-        for p in range(36):
-            b, t = _row_col_block(p), _row_col_block(g.apply(p))
-            if block_image[b] is None:
-                block_image[b] = t
-            elif block_image[b] != t:
-                raise BlockSystemError("row/column blocks are not preserved")
-        extended.append(Permutation(g.images + bytes(36 + b for b in block_image)))
-    chain = bsgs_build(extended, base_prefix=tuple(range(36, 48)))
-    kernel48 = chain.level_group_generators(12)
-    kernel36 = [Permutation(g.images[:36]) for g in kernel48]
-    nb = bsgs_build(kernel36, degree=36)
-    return Subgroup(
-        tuple(XElement.from_perm36(g) for g in kernel36), nb.order(), nb
-    )
+    gens = normal_closure([tau1().to_perm36(), tau2().to_perm36()], [n_element(2).to_perm36()])
+    nb = bsgs_build(gens)
+    return Subgroup(tuple(XElement.from_perm36(g) for g in gens), nb.order(), nb)
 
 
 @dataclass(eq=False)
@@ -499,12 +475,6 @@ def _expected_closure_size(v) -> int:
     if len(set(v)) == 1:
         return 1 if v[0] == 0 else 3
     return 243
-
-
-def m_submodule_check() -> bool:
-    """Every zero-sum vector generates a module of the size that
-    _expected_closure_size names."""
-    return all(submodule_closure_size(v) == _expected_closure_size(v) for v in m_vectors())
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ hashable states, normal closures and derived subgroups, centers, simplicity
 for small groups, relation checking, kernels of block actions, and
 generator-image closure for building homomorphisms.
 
-Everything is deterministic: base points are taken from an optional prefix and
-then greedily as the smallest point moved by a remaining generator, orbit
-searches are FIFO breadth-first with generators in the order given, and no
-randomisation is used anywhere.
+Everything is deterministic: base points are taken greedily as the smallest
+point moved by a generator that fixes the base so far, orbit searches are FIFO
+breadth-first with generators in the order given, and no randomisation is used
+anywhere.
 
 Generic helpers (closure, commutator, check_relations, orbit_stabilizer,
 hom_closure) work for any immutable group elements supporting ``*``,
@@ -86,7 +86,7 @@ class BSGS:
     no randomisation).
     """
 
-    def __init__(self, generators, base_prefix=(), degree: int | None = None):
+    def __init__(self, generators, degree: int | None = None):
         gens = []
         for g in generators:
             if degree is None:
@@ -100,12 +100,6 @@ class BSGS:
         self.degree = degree
 
         self.base: list[int] = []
-        for p in base_prefix:
-            if not 0 <= p < degree:
-                raise ValueError(f"base point {p} out of range")
-            if p in self.base:
-                raise ValueError(f"base point {p} repeated")
-            self.base.append(p)
         for g in gens:
             if all(g.apply(p) == p for p in self.base):
                 self.base.append(g.min_moved())
@@ -199,18 +193,12 @@ class BSGS:
                     seen.append(g)
         return seen
 
-    def level_group_generators(self, m: int) -> list[Permutation]:
-        """Generators of the pointwise stabilizer of base[:m]."""
-        if m >= len(self.base):
-            return []
-        return list(self._level_gens[m])
-
     def transversal_sizes(self) -> tuple[int, ...]:
         return tuple(len(T) for T in self._transversals)
 
 
-def bsgs_build(gens, base_prefix=(), degree: int | None = None) -> BSGS:
-    return BSGS(gens, base_prefix, degree)
+def bsgs_build(gens, degree: int | None = None) -> BSGS:
+    return BSGS(gens, degree)
 
 
 @dataclass

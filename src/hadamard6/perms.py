@@ -37,6 +37,8 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        if not 0 <= n <= 256:
+            raise ValueError(f"degree {n} out of range 0..256")
         return cls._raw(_IDENT[:n])
 
     @classmethod

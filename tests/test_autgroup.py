@@ -66,7 +66,7 @@ def test_act_matches_generic_matrix_computation():
 
 
 def test_act_general_path_on_non_unit_entries():
-    # a matrix with a zero entry leaves the interned-unit fast path
+    # a zero entry: the action must not assume every entry is a unit
     H = h6().with_entry(0, 0, EisensteinRational(0))
     rng = random.Random(102)
     for _ in range(30):
@@ -412,6 +412,17 @@ def test_n_order_complements_the_block_image():
     assert row_image.order() == 720
     assert n_subgroup().order * 720 == x0_bsgs().order()
     assert bsgs_build(blocks).order() == 720
+
+
+def test_n_contains_every_n_element_and_fixes_every_block():
+    N = n_subgroup()
+    for k in range(2, 7):
+        assert N.bsgs.contains(n_element(k).to_perm36())
+    for g in N.bsgs.strong_generators():
+        assert all(
+            autgroup._row_col_block(g.apply(p)) == autgroup._row_col_block(p)
+            for p in range(36)
+        )
 
 
 # --- the zero-sum phase module ----------------------------------------------

@@ -77,19 +77,6 @@ def test_bsgs_trivial_group():
     assert not b.contains(Permutation.parse("(1,2)", 5))
 
 
-def test_bsgs_base_prefix_gives_pointwise_stabilizer():
-    # symmetric group on 4 points; prefix through point 0 exposes its stabilizer
-    gens = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]
-    b = bsgs_build(gens, base_prefix=(0,))
-    assert b.order() == 24
-    stab_gens = b.level_group_generators(1)
-    stab = bsgs_build(stab_gens, degree=4)
-    assert stab.order() == 6
-    brute = [g for g in closure(gens) if g.apply(0) == 0]
-    assert stab.order() == len(brute)
-    assert all(stab.contains(g) for g in brute)
-
-
 def test_orbit_stabilizer_on_natural_action():
     gens = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]
     result = orbit_stabilizer(gens, lambda p, g: g.apply(p), 0)

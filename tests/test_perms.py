@@ -148,6 +148,15 @@ def test_constructor_rejects_non_permutations(images):
         Permutation(images)
 
 
+@pytest.mark.parametrize("n", [-1, 257, 300])
+def test_identity_rejects_a_degree_out_of_range(n):
+    # a slice of the 256-byte identity table would quietly give another degree
+    with pytest.raises(ValueError):
+        Permutation.identity(n)
+    with pytest.raises(ValueError):
+        Permutation.parse("id", n)
+
+
 def test_constructor_rejects_an_int():
     with pytest.raises(TypeError):
         Permutation(1)  # not read as bytes(1), the identity on one point
