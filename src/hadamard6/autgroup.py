@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import itemgetter
 
 from .eisenstein import E_ONE, OMEGA, OMEGA2, EisensteinRational
 from .groups import (
@@ -343,29 +344,37 @@ class Stabilizer:
 
 
 @cache
-def _phase_map(g: Permutation) -> bytes:
-    """H -> H^g on phase states, read off the 36-point image alone, as a
-    bytes.translate table on the 108 points 3k + h (entry k = 6r + j has
-    phase h, an exponent of w).  If row state (0, r) goes to (a, r') and
-    column state (0, j) to (b, j'), column state (-h, j) goes to (b - s*h, j')
-    with s = -1 iff g conjugates, else 1, so entry (r', j') of H^g is
-    a - b + s*h: point 3(6r + j) + h goes to 3(6r' + j') + (a - b + s*h)."""
-    img = g.images
-    s = (img[24] - img[18]) // 6
+def _phase_map(images: bytes) -> tuple[bytes, itemgetter | None]:
+    """H -> H^g on phase states, read off the 36-point image of g alone (the
+    cache is keyed on its image bytes): a bytes.translate table on the 108
+    points 3k + h (entry k = 6r + j has phase h, an exponent of w), and a
+    gather.  If row state (0, r) goes to (a, r') and column state (0, j) to
+    (b, j'), column state (-h, j) goes to (b - s*h, j') with s = -1 iff g
+    conjugates, else 1, so entry (r', j') of H^g is a - b + s*h: point
+    3(6r + j) + h goes to 3(6r' + j') + (a - b + s*h).  Entry k moves to
+    k' = 6r' + j' whatever the state, so the gather takes byte k' from byte k;
+    it is None when g fixes every entry, as * does.  Images outside X raise
+    ValueError."""
+    XElement.from_perm36(Permutation(images))
+    s = (images[24] - images[18]) // 6
     table = bytearray(256)
+    source = [0] * 36
     for r in range(6):
-        a, r2 = divmod(img[r], 6)
+        a, r2 = divmod(images[r], 6)
         for j in range(6):
-            b, j2 = divmod(img[18 + j] - 18, 6)
+            b, j2 = divmod(images[18 + j] - 18, 6)
+            source[6 * r2 + j2] = 6 * r + j
             for h in range(3):
                 table[18 * r + 3 * j + h] = 18 * r2 + 3 * j2 + (a - b + s * h) % 3
-    return bytes(table)
+    return bytes(table), None if source == list(range(36)) else itemgetter(*source)
 
 
 def _phase_act(state: bytes, g: Permutation) -> bytes:
-    """A phase state is the sorted bytes of its 36 points 3k + h, so byte k
-    lies in 3k..3k+2; the image points are sorted back into that order."""
-    return bytes(sorted(state.translate(_phase_map(g))))
+    """A phase state holds the point 3k + h of entry k at byte k: translate
+    every point, then gather the entries back into order (see _phase_map)."""
+    table, gather = _phase_map(g.images)
+    moved = state.translate(table)
+    return moved if gather is None else bytes(gather(moved))
 
 
 @cache
@@ -373,19 +382,19 @@ def compute_aut_star() -> Stabilizer:
     """Stabilizer of the Hadamard matrix under X, by orbit enumeration over
     phase states (see _phase_act) with a transversal of 36-point permutations.
     Every non-identity Schreier generator is tested by a lookup in the set of
-    all elements of the group generated by the kept ones, enumerated again
-    each time one is kept; there is no stop at a known order.  The kept
-    generators' BSGS must have the order of that set, and they are converted
-    back once and checked to fix h6() under the exact matrix action."""
+    image bytes of all elements of the group generated by the kept ones,
+    enumerated again each time one is kept; there is no stop at a known order.
+    The kept generators' BSGS must have the order of that set, and they are
+    converted back once and checked to fix h6() under the exact matrix action."""
     kept: list[Permutation] = []
-    elements: set[Permutation] = set()
+    elements: set[bytes] = set()
 
     def keep(candidate: Permutation) -> bool:
         nonlocal elements
-        if candidate in elements:
+        if candidate.images in elements:
             return False
         kept.append(candidate)
-        elements = set(closure(kept, cap=_ENUMERATION_CAP))
+        elements = {g.images for g in closure(kept, cap=_ENUMERATION_CAP)}
         return True
 
     H = h6()

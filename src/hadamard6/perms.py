@@ -7,7 +7,8 @@ omitted, identity printed as "id"; parse(str(g)) == g.
 
 The images are a bytes object of length n, so a product is one
 bytes.translate call (a's images looked up in b's, padded to a 256-byte
-table) and an inverse is one bytes.maketrans call.
+table) and an inverse is one bytes.maketrans call; both fill the slot of a
+bare object.__new__ instance, skipping __init__'s bijection check.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
 _IDENT = bytes(range(256))
+_new = object.__new__
 
 
 class Permutation:
@@ -31,8 +33,8 @@ class Permutation:
     @classmethod
     def _raw(cls, images) -> "Permutation":
         # trusted internal path: skips the bijection check
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        p = _new(cls)
+        p.images = images
         return p
 
     @classmethod
@@ -88,11 +90,15 @@ class Permutation:
         b = other.images
         if len(a) != len(b):
             raise ValueError("degree mismatch")
-        return Permutation._raw(a.translate(b + _IDENT[len(a):]))
+        p = _new(Permutation)
+        p.images = a.translate(b + _IDENT[len(a):])
+        return p
 
     def inverse(self) -> "Permutation":
         a = self.images
-        return Permutation._raw(a.maketrans(a, _IDENT[: len(a)])[: len(a)])
+        p = _new(Permutation)
+        p.images = a.maketrans(a, _IDENT[: len(a)])[: len(a)]
+        return p
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:

@@ -298,6 +298,28 @@ def test_phase_states_hold_one_point_per_entry():
         assert _phase_act(state, identity) == state
 
 
+def test_phase_action_composes():
+    # acting by g then by h is acting by g * h, on h6() and on states reached
+    # by the walk, with words of both conjugation flags
+    rng = random.Random(104)
+    state = byte_state(h6())
+    flags = set()
+    for _ in range(200):
+        g, h = (random_word(rng, length=rng.randrange(1, 9)) for _ in range(2))
+        both = _phase_act(_phase_act(state, g.to_perm36()), h.to_perm36())
+        assert both == _phase_act(state, (g * h).to_perm36())
+        flags.update((g.eps, h.eps))
+        state = both if rng.random() < 0.7 else byte_state(h6())
+    assert flags == {0, 1}
+
+
+# (1,19) swaps a row state with a column state
+@pytest.mark.parametrize("cycles, degree", [("(1,19)", 36), ("(1,7)", 36), ("(1,2)", 36), ("(1,2)", 6)])
+def test_phase_action_rejects_permutations_outside_x(cycles, degree):
+    with pytest.raises(ValueError):
+        _phase_act(byte_state(h6()), Permutation.parse(cycles, degree))
+
+
 def test_orbit_search_tests_every_schreier_generator(monkeypatch):
     # pins the work of the search: every non-identity Schreier generator
     # reaches keep, so no candidate is skipped and nothing stops at a known

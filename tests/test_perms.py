@@ -170,3 +170,24 @@ def test_every_operation_yields_bytes_images():
     for p in (Permutation.identity(6), Permutation.parse("id", 6), g, h,
               g * h, g.inverse(), g**-2):
         assert type(p.images) is bytes
+
+
+@given(perm6, perm6)
+def test_not_equal_is_the_negation_of_equal(a, b):
+    assert (a != b) is (not (a == b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("other", [5, None, bytes([1, 0, 2])], ids=["int", "None", "bytes"])
+def test_comparison_with_a_non_permutation(other):
+    g = Permutation([1, 0, 2])
+    assert not g == other and g != other
+    assert not other == g and other != g
+
+
+def test_constructed_permutations_have_slots_only():
+    g = Permutation.parse("(1,2,3)", 4)
+    for p in (Permutation._raw(bytes([1, 0, 2, 3])), g * g, g.inverse()):
+        assert not hasattr(p, "__dict__")
+        assert type(p.images) is bytes
