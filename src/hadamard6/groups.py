@@ -38,8 +38,8 @@ class ClosureCapError(ValueError):
     """Enumeration exceeded its element cap."""
 
 
-# Largest group that center_of, is_simple_small and the orbit search in
-# autgroup.compute_aut_star will enumerate.
+# Largest group that center_of, is_simple_small (on prop2's order-360
+# quotient) and the orbit search in autgroup.compute_aut_star will enumerate.
 _ENUMERATION_CAP = 10**6
 
 
@@ -171,19 +171,10 @@ class BSGS:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        if not self.base:
-            return g.is_identity()
         residue, _ = self._strip(g, 0)
         return residue.is_identity()
 
     __contains__ = contains
-
-    def sift(self, g: Permutation) -> Permutation:
-        """Residue of g after stripping through the chain."""
-        if not self.base:
-            return g
-        residue, _ = self._strip(g, 0)
-        return residue
 
     def strong_generators(self) -> list[Permutation]:
         seen = []

@@ -50,14 +50,6 @@ class ExactMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows) -> "ExactMatrix":
-        r = len(rows)
-        c = len(rows[0])
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, [e for row in rows for e in row])
-
-    @classmethod
     def identity(cls, n: int, ring=EisensteinRational) -> "ExactMatrix":
         one, zero = ring.one(), ring.zero()
         return cls._raw(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)), ring)
@@ -142,13 +134,6 @@ class ExactMatrix:
         e = list(self.entries)
         e[i * self.cols + j] = value
         return ExactMatrix._raw(self.rows, self.cols, tuple(e), self.ring)
-
-    def canonical_bytes(self) -> bytes:
-        head = f"{self.rows}x{self.cols}:{self.ring.__name__}:"
-        return (head + ";".join(str(e) for e in self.entries)).encode()
-
-    def to_json_rows(self) -> list[list[str]]:
-        return [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

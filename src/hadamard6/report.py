@@ -48,9 +48,6 @@ class Report:
         lines.append(f"[{tag}] suite {self.name}")
         return lines
 
-    def failures(self) -> list[Clause]:
-        return [c for c in self.clauses if not c.passed]
-
 
 def check(cid: str, claim: str, expected, computed) -> Clause:
     """Clause comparing expected and computed by equality."""

@@ -19,6 +19,8 @@ from hadamard6.autgroup import (
     tau1,
     tau2,
     tau2prime,
+    verify_prop2,
+    verify_submodule,
     x0_bsgs,
     x_bsgs,
     y_bsgs,
@@ -172,10 +174,10 @@ def test_perm36_round_trip():
         assert XElement.from_perm36(g.to_perm36()) == g
 
 
-def test_from_perm36_rejects_foreign_permutations():
-    foreign = Permutation.parse("(1,2)", 36)
+@pytest.mark.parametrize("cycles, degree", [("(1,19)", 36), ("(1,7)", 36), ("(1,2)", 36), ("(1,2)", 6)])
+def test_from_perm36_rejects_foreign_permutations(cycles, degree):
     with pytest.raises(ValueError):
-        XElement.from_perm36(foreign)
+        XElement.from_perm36(Permutation.parse(cycles, degree))
 
 
 def test_embeddings_and_n_subgroup_yield_bytes_images():
@@ -416,6 +418,24 @@ def test_six_point_projection_kernel_is_the_center():
     assert len({g.p.pi() for g in elements}) == 360
 
 
+def _failed_clauses(report):
+    return {c.id for c in report.clauses if not c.passed}
+
+
+def test_center_clauses_fail_for_a_generator_outside_the_kernel(monkeypatch):
+    # x lies in the linear stabilizer but projects to a 3-cycle, so it does
+    # not generate the kernel of the six-point projection
+    monkeypatch.setattr(autgroup, "omega_pair", sylow_x)
+    assert _failed_clauses(verify_prop2()) >= {"center", "central_quotient_order",
+                                                "central_quotient_simple"}
+
+
+def test_center_clause_needs_a_simple_quotient(monkeypatch):
+    # without simplicity the center could be larger than the kernel
+    monkeypatch.setattr(autgroup, "is_simple_small", lambda gens: False)
+    assert "center" in _failed_clauses(verify_prop2())
+
+
 def test_y_order_against_brute_force_closure():
     assert len(closure([tau1(), tau2prime()])) == 720
 
@@ -489,6 +509,30 @@ def _closure_oracle(v):
 )
 def test_submodule_closure_against_brute_force(vector):
     assert submodule_closure_size(vector) == _closure_oracle(vector)
+
+
+def test_submodule_spins_one_vector_per_orbit(monkeypatch):
+    spun = []
+
+    def counting(v):
+        spun.append(v)
+        return submodule_closure_size(v)
+
+    monkeypatch.setattr(autgroup, "submodule_closure_size", counting)
+    assert verify_submodule().passed
+    assert len(spun) == 10
+    assert len({tuple(sorted(v)) for v in spun}) == 10
+
+
+def test_submodule_clauses_weight_each_orbit(monkeypatch):
+    # one non-constant orbit (30 vectors) reported as a proper submodule
+    def wrong(v):
+        return 81 if sorted(v) == [0, 0, 0, 0, 1, 2] else submodule_closure_size(v)
+
+    monkeypatch.setattr(autgroup, "submodule_closure_size", wrong)
+    report = verify_submodule()
+    assert _failed_clauses(report) == {"nonconstant_closures", "overall"}
+    assert next(c for c in report.clauses if c.id == "nonconstant_closures").computed == "210"
 
 
 def test_m_vectors_size():
