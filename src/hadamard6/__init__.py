@@ -25,11 +25,9 @@ from .eisenstein import BETA, OMEGA, OMEGA2, EisensteinRational, SplitQuaternion
 from .gf4 import GF4, LinearCode, h6_code
 from .groups import (
     BSGS,
-    GroupHom,
     action_kernel_order,
     bsgs_build,
     center_of,
-    check_relations,
     closure,
     commutator,
     conjugate,
@@ -61,7 +59,6 @@ __all__ = [
     "EisensteinRational",
     "ExactMatrix",
     "GF4",
-    "GroupHom",
     "LinearCode",
     "MonomialBMatrix",
     "MonomialMatrix",
@@ -77,7 +74,6 @@ __all__ = [
     "bsgs_build",
     "build_outer",
     "center_of",
-    "check_relations",
     "closure",
     "commutant_dimension",
     "commutator",

@@ -104,7 +104,7 @@ def verify_theorem() -> Report:
     gens = (tau1(), t2s)
 
     try:
-        table = hom_closure([(g, b_rep(g)) for g in gens]).table
+        table = hom_closure([(g, b_rep(g)) for g in gens])
     except InconsistentImagesError:
         table = {}
     hom_ok = len(table) == 2160 and all(v == _b_rep_formula(g) for g, v in table.items())

@@ -49,15 +49,6 @@ class EisensteinRational:
         self._hash = None
 
     @classmethod
-    def omega_pow(cls, k: int) -> "EisensteinRational":
-        k %= 3
-        if k == 0:
-            return E_ONE
-        if k == 1:
-            return OMEGA
-        return OMEGA2
-
-    @classmethod
     def zero(cls) -> "EisensteinRational":
         return E_ZERO
 
@@ -195,7 +186,7 @@ class SplitQuaternion:
     @classmethod
     def unit(cls, a: int, b: int) -> "SplitQuaternion":
         """The unit w^a * B^b."""
-        z = EisensteinRational.omega_pow(a)
+        z = OMEGA_POWERS[a % 3]
         return cls(z, E_ZERO) if b % 2 == 0 else cls(E_ZERO, z)
 
     @classmethod

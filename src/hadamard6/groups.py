@@ -1,17 +1,17 @@
 """Permutation-group machinery: deterministic Schreier-Sims (base and strong
 generating set), orbit-stabilizer with Schreier generators over arbitrary
 hashable states, normal closures and derived subgroups, centers, simplicity
-for small groups, relation checking, kernels of block actions, and
-generator-image closure for building homomorphisms.
+for small groups, kernels of block actions, and generator-image closure for
+building homomorphisms.
 
 Everything is deterministic: base points are taken greedily as the smallest
 point moved by a generator that fixes the base so far, orbit searches are FIFO
 breadth-first with generators in the order given, and no randomisation is used
 anywhere.
 
-Generic helpers (closure, commutator, check_relations, orbit_stabilizer,
-hom_closure) work for any immutable group elements supporting ``*``,
-``.inverse()`` and hashing, not just permutations.
+Generic helpers (closure, commutator, orbit_stabilizer, hom_closure) work
+for any immutable group elements supporting ``*``, ``.inverse()`` and
+hashing, not just permutations.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ class ClosureCapError(ValueError):
     """Enumeration exceeded its element cap."""
 
 
-# Largest group that center_of, is_simple_small (on prop2's order-360
-# quotient) and the orbit search in autgroup.compute_aut_star will enumerate.
+# Largest group that closure and hom_closure will enumerate: center_of,
+# is_simple_small (on prop2's order-360 quotient), the orbit search in
+# autgroup.compute_aut_star and both S6 tables in outer go through them.
 _ENUMERATION_CAP = 10**6
 
 
@@ -53,10 +54,11 @@ def conjugate(a, b):
     return b.inverse() * a * b
 
 
-def closure(gens, cap: int | None = None) -> list:
+def closure(gens) -> list:
     """All elements of <gens> by breadth-first multiplication, identity first.
 
-    Deterministic given generator order.  Raises ClosureCapError past cap.
+    Deterministic given generator order.  Raises ClosureCapError past
+    _ENUMERATION_CAP.
     """
     gens = list(gens)
     if not gens:
@@ -69,8 +71,8 @@ def closure(gens, cap: int | None = None) -> list:
         for g in gens:
             y = x * g
             if y not in els:
-                if cap is not None and len(els) >= cap:
-                    raise ClosureCapError(f"closure exceeded cap {cap}")
+                if len(els) >= _ENUMERATION_CAP:
+                    raise ClosureCapError(f"closure exceeded cap {_ENUMERATION_CAP}")
                 els[y] = None
                 queue.append(y)
     return list(els)
@@ -148,19 +150,25 @@ class BSGS:
             for g in level_gens:
                 q = g.apply(p)
                 sg = up * g * T[q].inverse()
-                if sg.is_identity():
-                    continue
-                h, j = self._strip(sg, i + 1)
-                if h.is_identity():
-                    continue
-                if j == len(self.base):
-                    self.base.append(h.min_moved())
-                    self._level_gens.append([])
-                    self._transversals.append(None)
-                for k in range(i + 1, j + 1):
-                    self._level_gens[k].append(h)
-                for k in range(j, i, -1):
-                    self._schreier_sims(k)
+                if not sg.is_identity():
+                    self.add(sg, i)
+
+    def add(self, g: Permutation, i: int = -1) -> bool:
+        """Extend the chain by g, which must fix base[:i+1]; False if g is
+        already a member.  Precondition: levels > i are complete, and they
+        are again on return."""
+        h, j = self._strip(g, i + 1)
+        if h.is_identity():
+            return False
+        if j == len(self.base):
+            self.base.append(h.min_moved())
+            self._level_gens.append([])
+            self._transversals.append(None)
+        for k in range(i + 1, j + 1):
+            self._level_gens[k].append(h)
+        for k in range(j, i, -1):
+            self._schreier_sims(k)
+        return True
 
     def order(self) -> int:
         n = 1
@@ -253,21 +261,16 @@ def normal_closure(gens, xs) -> list[Permutation]:
     """Generators of the normal closure of xs in <gens>: each element taken
     from the queue (seeded with xs) that is not yet in the subgroup found so
     far joins it, and its conjugates by the generators join the queue.
-    Membership is tested with a BSGS of the subgroup found so far."""
+    One chain of the subgroup found so far grows with each joining element."""
     gens = list(gens)
     queue = deque(xs)
     n_gens: list[Permutation] = []
-    n_bsgs: BSGS | None = None
+    chain = BSGS([], gens[0].degree)
     while queue:
         c = queue.popleft()
-        if c.is_identity():
-            continue
-        if n_bsgs is not None and n_bsgs.contains(c):
-            continue
-        n_gens.append(c)
-        n_bsgs = bsgs_build(n_gens)
-        for g in gens:
-            queue.append(conjugate(c, g))
+        if chain.add(c):
+            n_gens.append(c)
+            queue.extend(conjugate(c, g) for g in gens)
     return n_gens
 
 
@@ -285,7 +288,7 @@ def derived_subgroup(gens) -> list[Permutation]:
 def center_of(gens) -> list[Permutation]:
     """All central elements; requires full enumeration (order <= _ENUMERATION_CAP)."""
     gens = list(gens)
-    elements = closure(gens, cap=_ENUMERATION_CAP)
+    elements = closure(gens)
     return [g for g in elements if all(g * s == s * g for s in gens)]
 
 
@@ -294,7 +297,7 @@ def is_simple_small(gens) -> bool:
     (order <= _ENUMERATION_CAP): the normal closure of every nontrivial
     conjugacy class representative must have the order of the whole group."""
     gens = list(gens)
-    elements = closure(gens, cap=_ENUMERATION_CAP)
+    elements = closure(gens)
     n = len(elements)
     if n == 1:
         return False
@@ -315,33 +318,6 @@ def is_simple_small(gens) -> bool:
                     frontier.append(y)
         seen |= cls
         if bsgs_build(normal_closure(gens, [el])).order() != n:
-            return False
-    return True
-
-
-def check_relations(words, assignment) -> bool:
-    """True iff every word evaluates to the identity.
-
-    Words are sequences of (letter, exponent) pairs; letters index the
-    assignment mapping, exponents may be negative.
-    """
-    if not assignment:
-        raise ValueError("empty assignment")
-    some = next(iter(assignment.values()))
-    e = some * some.inverse()
-    for word in words:
-        acc = e
-        for name, exp in word:
-            try:
-                x = assignment[name]
-            except KeyError:
-                raise ValueError(f"unknown letter {name!r}") from None
-            if exp < 0:
-                x = x.inverse()
-                exp = -exp
-            for _ in range(exp):
-                acc = acc * x
-        if acc != e:
             return False
     return True
 
@@ -372,29 +348,14 @@ def action_kernel_order(bsgs: BSGS, block_map) -> int:
     return total // image_order
 
 
-@dataclass
-class GroupHom:
-    """A homomorphism given on generators and completed to a full table."""
-
-    domain_generators: tuple
-    image_generators: tuple
-    table: dict
-
-    def apply(self, g):
-        return self.table[g]
-
-    def __len__(self):
-        return len(self.table)
-
-
-def hom_closure(pairs, cap: int = 10**5) -> GroupHom:
+def hom_closure(pairs) -> dict:
     """Extend generator pairs (g, image) to the full domain group by breadth
-    first closure over the Cayley graph.
+    first closure over the Cayley graph; returns the table {g: image of g}.
 
     Raises InconsistentImagesError when two words for the same element get
     different images (the data is not a homomorphism), and ClosureCapError
-    when the domain exceeds cap.  Every element is taken from the queue and
-    tried against every generator, so a finished table satisfies
+    when the domain exceeds _ENUMERATION_CAP.  Every element is taken from
+    the queue and tried against every generator, so a finished table satisfies
     table[g * s] == table[g] * image(s) for every element g and generator s;
     by induction on word length the table is multiplicative.
     """
@@ -414,15 +375,10 @@ def hom_closure(pairs, cap: int = 10**5) -> GroupHom:
             hi = tg * si
             prev = table.get(h)
             if prev is None:
-                if len(table) >= cap:
-                    raise ClosureCapError(f"domain exceeded cap {cap}")
+                if len(table) >= _ENUMERATION_CAP:
+                    raise ClosureCapError(f"domain exceeded cap {_ENUMERATION_CAP}")
                 table[h] = hi
                 queue.append(h)
             elif prev != hi:
                 raise InconsistentImagesError("generator images are not a homomorphism")
-
-    return GroupHom(
-        tuple(p[0] for p in pairs),
-        tuple(p[1] for p in pairs),
-        table,
-    )
+    return table

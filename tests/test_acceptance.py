@@ -13,7 +13,6 @@ from hadamard6.autgroup import (
     n_element,
     n_subgroup,
     omega_pair,
-    s6_presentation_words,
     star,
     submodule_closure_size,
     sylow_x,
@@ -31,7 +30,6 @@ from hadamard6.eisenstein import SplitQuaternion
 from hadamard6.groups import (
     action_kernel_order,
     bsgs_build,
-    check_relations,
     closure,
     commutator,
     conjugate,
@@ -75,7 +73,8 @@ def test_a02_group_orders_and_presentation():
     ok = ok and meet == 1
     s = (tau1() * tau2prime()).to_perm36()
     t = tau2prime().to_perm36()
-    ok = ok and check_relations(s6_presentation_words(), {"s": s, "t": t})
+    relators = (s**6, t**2, (s * t)**5, commutator(t, s**2)**2, commutator(t, s**3)**2)
+    ok = ok and all(r.is_identity() for r in relators)
     _report("A02", ok, "|X|, |X0|, |N|, |Y| exact; Y meets N trivially; S6 relations hold")
 
 

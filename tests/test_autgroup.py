@@ -19,6 +19,7 @@ from hadamard6.autgroup import (
     tau1,
     tau2,
     tau2prime,
+    verify_prop1,
     verify_prop2,
     verify_submodule,
     x0_bsgs,
@@ -434,6 +435,12 @@ def test_center_clause_needs_a_simple_quotient(monkeypatch):
     # without simplicity the center could be larger than the kernel
     monkeypatch.setattr(autgroup, "is_simple_small", lambda gens: False)
     assert "center" in _failed_clauses(verify_prop2())
+
+
+def test_s6_presentation_fails_for_tau2_in_place_of_tau2prime(monkeypatch):
+    y_bsgs()  # cache the true Y before tau2prime is replaced
+    monkeypatch.setattr(autgroup, "tau2prime", tau2)
+    assert "s6_presentation" in _failed_clauses(verify_prop1())
 
 
 def test_y_order_against_brute_force_closure():

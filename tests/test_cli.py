@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,13 @@ def _src_env(**extra):
     env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_export_list_names_every_public_binding():
+    # a name dropped from the imports but not from __all__ (or the reverse)
+    public = {name for name, value in vars(hadamard6).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(hadamard6.__all__) == sorted(public)
 
 
 def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):

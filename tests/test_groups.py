@@ -3,15 +3,16 @@ from itertools import permutations as iter_permutations
 
 import pytest
 
+from hadamard6 import groups
 from hadamard6.groups import (
     ActionConsistencyError,
     BlockSystemError,
     ClosureCapError,
     InconsistentImagesError,
     action_kernel_order,
+    BSGS,
     bsgs_build,
     center_of,
-    check_relations,
     closure,
     commutator,
     conjugate,
@@ -164,6 +165,28 @@ def test_normal_closure_in_s4():
         assert bsgs_build(normal_closure(s4, [Permutation.parse(seed, 4)])).order() == order
 
 
+def test_normal_closure_grows_one_chain(monkeypatch):
+    calls = []
+    monkeypatch.setattr(groups, "bsgs_build", lambda *a: calls.append(a) or bsgs_build(*a))
+    s4 = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]
+    assert len(normal_closure(s4, [Permutation.parse("(1,2,3)", 4)])) > 1
+    assert calls == []
+
+
+def test_bsgs_add_reports_whether_the_chain_grew():
+    chain = BSGS([], 4)
+    c = Permutation.parse("(1,2,3)", 4)
+    assert not chain.add(Permutation.identity(4))
+    assert chain.add(c) and chain.order() == 3
+    assert not chain.add(c.inverse())
+    assert chain.order() == 3
+    assert chain.add(Permutation.parse("(1,2)(3,4)", 4))
+    assert chain.order() == 12
+    a4 = set(closure([c, Permutation.parse("(1,2)(3,4)", 4)]))
+    for g in closure([Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]):
+        assert chain.contains(g) == (g in a4)
+
+
 def test_center_of_dihedral():
     gens = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,3)", 4)]
     z = center_of(gens)
@@ -184,16 +207,6 @@ def test_is_simple_small():
     assert not is_simple_small(s4)
     c3 = [Permutation.parse("(1,2,3)", 3)]
     assert is_simple_small(c3)
-
-
-def test_check_relations():
-    t = Permutation.parse("(1,2,3)", 3)
-    e = Permutation.identity(3)
-    assert check_relations([(("t", 2),)], {"t": e})
-    assert not check_relations([(("t", 2),)], {"t": t})
-    assert check_relations([(("t", 3),), (("t", -3),)], {"t": t})
-    with pytest.raises(ValueError):
-        check_relations([(("u", 1),)], {"t": t})
 
 
 def test_commutator_convention():
@@ -223,18 +236,18 @@ def test_action_kernel_rejects_broken_blocks():
 
 def test_hom_closure_identity_map():
     gens = [Permutation.parse("(1,2)", 6), Permutation.parse("(2,3,4,5,6)", 6)]
-    hom = hom_closure([(g, g) for g in gens])
-    assert len(hom) == 720
-    for g in list(hom.table)[:50]:
-        assert hom.apply(g) == g
+    table = hom_closure([(g, g) for g in gens])
+    assert len(table) == 720
+    for g in list(table)[:50]:
+        assert table[g] == g
 
 
 def test_hom_closure_c2_example():
     src = Permutation.parse("(1,2)", 6)
     dst = Permutation.parse("(1,2)(3,6)(4,5)", 6)
-    hom = hom_closure([(src, dst)])
-    assert len(hom) == 2
-    assert hom.apply(src) == dst
+    table = hom_closure([(src, dst)])
+    assert len(table) == 2
+    assert table[src] == dst
 
 
 def test_hom_closure_rejects_non_homomorphism():
@@ -253,10 +266,22 @@ def test_hom_closure_rejects_non_homomorphism_on_a_large_domain():
         hom_closure([(seven_cycle, seven_cycle), (src, Permutation.parse("(1,3)", 7))])
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     gens = [Permutation.parse("(1,2)", 6), Permutation.parse("(2,3,4,5,6)", 6)]
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 720)
+    assert len(closure(gens)) == 720
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 100)
     with pytest.raises(ClosureCapError):
-        closure(gens, cap=100)
+        closure(gens)
+
+
+def test_hom_closure_cap(monkeypatch):
+    gens = [Permutation.parse("(1,2)", 6), Permutation.parse("(2,3,4,5,6)", 6)]
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 720)
+    assert len(hom_closure([(g, g) for g in gens])) == 720
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 100)
+    with pytest.raises(ClosureCapError):
+        hom_closure([(g, g) for g in gens])
 
 
 def test_bsgs_strong_generators_all_members():

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+from hadamard6 import outer
 from hadamard6.outer import (
     AutoTable,
     all_s6,
@@ -150,6 +151,26 @@ def test_totals_action_is_an_outer_automorphism():
     assert t.is_bijective()
     assert t.is_multiplicative()
     assert is_inner(t) is None
+
+
+def test_totals_table_is_the_elementwise_action_on_the_totals():
+    totals = sylvester_totals()
+    index = {t.synthemes: i for i, t in enumerate(totals)}
+    reference = {
+        g: Permutation(tuple(index[outer._transform_total(t, g)] for t in totals))
+        for g in all_s6()
+    }
+    assert totals_outer().table == reference
+
+
+def test_totals_table_acts_on_the_generators_only(monkeypatch):
+    calls = []
+    transform = outer._transform_total
+    monkeypatch.setattr(outer, "_transform_total", lambda t, g: calls.append(g) or transform(t, g))
+    table = totals_outer.__wrapped__()
+    assert len(calls) == 12
+    assert set(calls) == set(table.generators)
+    assert table.table == totals_outer().table
 
 
 def test_totals_action_sends_transpositions_to_triple_transpositions():

@@ -96,6 +96,17 @@ def test_power():
     assert c**2 == c * c
 
 
+@pytest.mark.parametrize("g", [Permutation(()), Permutation((0,)),
+                               Permutation.parse("(1,2,3)(4,6)", 6)])
+def test_power_matches_repeated_products(g):
+    e = Permutation.identity(g.degree)
+    for k in range(-7, 8):
+        expected = e
+        for _ in range(abs(k)):
+            expected = expected * (g if k > 0 else g.inverse())
+        assert g**k == expected
+
+
 def test_degree_mismatch():
     with pytest.raises(ValueError):
         Permutation.parse("(1,2)", 2) * Permutation.parse("(1,2)", 3)
