@@ -8,7 +8,9 @@ The composition law making that a right action is
 
     (P1, Q1, e1) * (P2, Q2, e2) = (P1 * conj^e1(P2), Q1 * conj^e1(Q2), e1 + e2)
 
-and a randomized test pins the functional equation H^(g1 g2) = (H^g1)^g2.
+An element is stored as its 36-point image alone, so X multiplies as that
+image does; randomized tests pin the image against this law and the law
+against the functional equation H^(g1 g2) = (H^g1)^g2.
 
 Point labels are frozen by the stacking convention H, wH, w2H: row states
 (a, r) are numbered 6a + r with r = 1..6 (1-based at the text boundary,
@@ -49,143 +51,116 @@ from .perms import Permutation
 from .report import Clause, Report, check
 
 _UNIT_PHASE = {E_ONE: 0, OMEGA: 1, OMEGA2: 2}
+_new = object.__new__
 
 
 class XElement:
-    """Pair of monomial matrices plus a conjugation flag."""
+    """An element (P, Q, eps) of X, stored as its faithful 36-point image:
+    products, inverses and equality are those of the image, and P, Q and eps
+    are read back off it on each access."""
 
-    __slots__ = ("p", "q", "eps")
+    __slots__ = ("perm",)
 
     def __init__(self, p: MonomialMatrix, q: MonomialMatrix, eps: int):
-        if p.degree != q.degree:
-            raise ValueError("component degree mismatch")
-        self.p = p
-        self.q = q
-        self.eps = eps % 2
+        if p.degree != 6 or q.degree != 6:
+            raise ValueError("X acts on 6x6 matrices: components must have degree 6")
+        sign = -1 if eps % 2 else 1
+        img = bytearray(36)
+        for base, m in ((0, p), (18, q)):
+            for r, (d, s) in enumerate(zip(m.phases, m.perm.images)):
+                for a in range(3):
+                    img[base + 6 * a + r] = base + 6 * (sign * (a - d) % 3) + s
+        self.perm = Permutation._raw(bytes(img))
 
     @classmethod
-    def identity(cls, n: int = 6) -> "XElement":
-        return cls(MonomialMatrix.identity(n), MonomialMatrix.identity(n), 0)
+    def _raw(cls, perm: Permutation) -> "XElement":
+        # trusted internal path: perm is already the image of an element of X
+        g = _new(cls)
+        g.perm = perm
+        return g
+
+    @classmethod
+    def identity(cls) -> "XElement":
+        return cls._raw(Permutation.identity(36))
 
     @property
-    def degree(self) -> int:
-        return self.p.degree
+    def eps(self) -> int:
+        """1 iff row state (1, 1) lands one phase below the image of (0, 1)."""
+        img = self.perm.images
+        return int((img[6] - img[0]) // 6 % 3 == 2)
+
+    def _component(self, base: int) -> MonomialMatrix:
+        # state (0, r) goes to (-d_r, r^K), negated when eps = 1
+        sign = 1 if self.eps else -1
+        a, s = zip(*(divmod(x - base, 6) for x in self.perm.images[base:base + 6]))
+        return MonomialMatrix([sign * x for x in a], Permutation._raw(bytes(s)))
+
+    @property
+    def p(self) -> MonomialMatrix:
+        return self._component(0)
+
+    @property
+    def q(self) -> MonomialMatrix:
+        return self._component(18)
 
     def __mul__(self, other):
         if not isinstance(other, XElement):
             return NotImplemented
-        p2, q2 = other.p, other.q
-        if self.eps:
-            p2 = p2.conj_entries()
-            q2 = q2.conj_entries()
-        return XElement(self.p * p2, self.q * q2, self.eps + other.eps)
+        return XElement._raw(self.perm * other.perm)
 
     def inverse(self) -> "XElement":
-        pi, qi = self.p.inverse(), self.q.inverse()
-        if self.eps:
-            pi = pi.conj_entries()
-            qi = qi.conj_entries()
-        return XElement(pi, qi, self.eps)
+        return XElement._raw(self.perm.inverse())
 
     def is_identity(self) -> bool:
-        return self.eps == 0 and self.p.is_identity() and self.q.is_identity()
+        return self.perm.is_identity()
 
     def act(self, H: ExactMatrix) -> ExactMatrix:
         """(P^-1 H Q), conjugated entrywise iff eps = 1."""
         if H.ring is not EisensteinRational:
             raise ValueError("the action is defined on matrices over Q(w)")
-        n = self.degree
-        if H.rows != n or H.cols != n:
+        if H.rows != 6 or H.cols != 6:
             raise ValueError("dimension mismatch")
-        d, sgi = self.p.phases, self.p.perm.inverse().images
-        q, pgi = self.q.phases, self.q.perm.inverse().images
+        p, q = self.p, self.q
+        d, sgi = p.phases, p.perm.inverse().images
+        qd, pgi = q.phases, q.perm.inverse().images
         ent = H.entries
         eps = self.eps
         out = []
-        for i in range(n):
+        for i in range(6):
             ii = sgi[i]
             di = d[ii]
-            for j in range(n):
+            for j in range(6):
                 jj = pgi[j]
-                v = ent[ii * n + jj].times_omega_pow(q[jj] - di)
+                v = ent[ii * 6 + jj].times_omega_pow(qd[jj] - di)
                 out.append(v.conj() if eps else v)
-        return ExactMatrix._raw(n, n, tuple(out), EisensteinRational)
+        return ExactMatrix._raw(6, 6, tuple(out), EisensteinRational)
 
     def to_perm36(self) -> Permutation:
         """Faithful image on 18 row states plus 18 column states."""
-        if self.degree != 6:
-            raise ValueError("36-point image is defined for degree 6")
-        img = [0] * 36
-        eps = self.eps
-        d, sg = self.p.phases, self.p.perm.images
-        for r in range(6):
-            dr, sr = d[r], sg[r]
-            for a in range(3):
-                na = (a - dr) % 3
-                if eps:
-                    na = (-na) % 3
-                img[6 * a + r] = 6 * na + sr
-        q, pg = self.q.phases, self.q.perm.images
-        for j in range(6):
-            qj, pj = q[j], pg[j]
-            for b in range(3):
-                nb = (b - qj) % 3
-                if eps:
-                    nb = (-nb) % 3
-                img[18 + 6 * b + j] = 18 + 6 * nb + pj
-        return Permutation._raw(bytes(img))
+        return self.perm
 
     def to_perm18(self) -> Permutation:
         """The row-only action; its kernel on X has order 3^5."""
-        return Permutation._raw(self.to_perm36().images[:18])
+        return Permutation._raw(self.perm.images[:18])
 
     @classmethod
     def from_perm36(cls, perm: Permutation) -> "XElement":
-        """Invert to_perm36 for permutations in the image of X."""
+        """The element whose image is perm; ValueError unless perm lies in
+        the image of X, i.e. re-encoding its decoded parts gives it back."""
         if perm.degree != 36:
             raise ValueError("expected a 36-point permutation")
-        img = perm.images
-        eps = None
-        d, sg, q, pg = [0] * 6, [0] * 6, [0] * 6, [0] * 6
-        for r in range(6):
-            a0, s0 = divmod(img[r], 6)
-            a1, s1 = divmod(img[6 + r], 6)
-            if s0 != s1:
-                raise ValueError("not in the image of the 36-point embedding")
-            delta = (a1 - a0) % 3
-            e = 0 if delta == 1 else 1
-            if eps is None:
-                eps = e
-            elif eps != e:
-                raise ValueError("inconsistent conjugation flag")
-            sg[r] = s0
-            d[r] = (-a0) % 3 if e == 0 else a0 % 3
-        for j in range(6):
-            b0, t0 = divmod(img[18 + j] - 18, 6)
-            b1, t1 = divmod(img[24 + j] - 18, 6)
-            if t0 != t1:
-                raise ValueError("not in the image of the 36-point embedding")
-            delta = (b1 - b0) % 3
-            if (0 if delta == 1 else 1) != eps:
-                raise ValueError("inconsistent conjugation flag")
-            pg[j] = t0
-            q[j] = (-b0) % 3 if eps == 0 else b0 % 3
-        g = cls(
-            MonomialMatrix(tuple(d), Permutation(tuple(sg))),
-            MonomialMatrix(tuple(q), Permutation(tuple(pg))),
-            eps,
-        )
-        if g.to_perm36() != perm:
+        g = cls._raw(perm)
+        if cls(g.p, g.q, g.eps).perm != perm:
             raise ValueError("permutation is not in the image of X")
         return g
 
     def __eq__(self, other):
         if not isinstance(other, XElement):
             return NotImplemented
-        return self.eps == other.eps and self.p == other.p and self.q == other.q
+        return self.perm == other.perm
 
     def __hash__(self):
-        return hash((self.p, self.q, self.eps))
+        return hash(self.perm)
 
     def __str__(self):
         s = f"({self.p}, {self.q})"
@@ -312,12 +287,14 @@ def _row_restriction_block(p: int) -> int:
 
 @dataclass(eq=False)
 class Subgroup:
-    """A subgroup of X: generators, and the order and chain of their 36-point
-    images."""
+    """A subgroup of X: generators, and the chain of their 36-point images."""
 
     generators: tuple[XElement, ...]
-    order: int
     bsgs: BSGS
+
+    @property
+    def order(self) -> int:
+        return self.bsgs.order()
 
 
 @cache
@@ -328,17 +305,13 @@ def n_subgroup() -> Subgroup:
     <tau1, tau2> on the 12 row/column blocks; prop1 proves it is the whole
     kernel by matching its order with |<tau1, tau2>| / |block image|.
     """
-    gens = normal_closure([tau1().to_perm36(), tau2().to_perm36()], [n_element(2).to_perm36()])
-    nb = bsgs_build(gens)
-    return Subgroup(tuple(XElement.from_perm36(g) for g in gens), nb.order(), nb)
+    chain = normal_closure([tau1().to_perm36(), tau2().to_perm36()], [n_element(2).to_perm36()])
+    return Subgroup(tuple(map(XElement._raw, chain.strong_generators())), chain)
 
 
 @dataclass(eq=False)
-class Stabilizer:
-    generators: tuple[XElement, ...]
-    order: int
+class Stabilizer(Subgroup):
     orbit_size: int
-    bsgs: BSGS
 
 
 @cache
@@ -382,8 +355,8 @@ def compute_aut_star() -> Stabilizer:
     Every non-identity Schreier generator is tested by a lookup in the set of
     image bytes of all elements of the group generated by the kept ones,
     enumerated again each time one is kept; there is no stop at a known order.
-    The kept generators' BSGS must have the order of that set, and they are
-    converted back once and checked to fix h6() under the exact matrix action."""
+    The kept generators' BSGS must have the order of that set, and each kept
+    generator must fix h6() under the exact matrix action."""
     kept: list[Permutation] = []
     elements: set[bytes] = set()
 
@@ -402,10 +375,10 @@ def compute_aut_star() -> Stabilizer:
     stab = bsgs_build(kept)
     if stab.order() != len(elements):
         raise AssertionError("the stabilizer's chain and its enumeration disagree on its order")
-    generators = tuple(XElement.from_perm36(g) for g in kept)
+    generators = tuple(map(XElement._raw, kept))
     if any(g.act(H) != H for g in generators):
         raise AssertionError("a kept Schreier generator does not fix h6()")
-    return Stabilizer(generators, stab.order(), result.orbit_size, stab)
+    return Stabilizer(generators, stab, result.orbit_size)
 
 
 @cache
@@ -414,8 +387,7 @@ def compute_aut_linear() -> Subgroup:
     Schreier generators of the conjugation flag's 2-state orbit."""
     flag = orbit_stabilizer((tau1(), tau2() * star()), lambda f, g: (f + g.eps) % 2, 0)
     gens = tuple(flag.stabilizer_generators)
-    bsgs = bsgs_build([g.to_perm36() for g in gens])
-    return Subgroup(gens, bsgs.order(), bsgs)
+    return Subgroup(gens, bsgs_build([g.to_perm36() for g in gens]))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +569,7 @@ def verify_prop2() -> Report:
     lin = compute_aut_linear()
     clauses.append(check("aut_order", "the eps = 0 subgroup has order 3 * 360", 1080, lin.order))
 
-    lin_perms = [g.to_perm36() for g in lin.generators]
-    derived = bsgs_build(derived_subgroup(lin_perms))
+    derived = derived_subgroup([g.to_perm36() for g in lin.generators])
     clauses.append(check("aut_perfect", "it is perfect", 1080, derived.order()))
 
     # pi (the six-point projection g -> g.p.pi()) is a homomorphism.  Its

@@ -257,26 +257,23 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
     return OrbitStabilizer(orbit_size=len(reps), stabilizer_generators=kept)
 
 
-def normal_closure(gens, xs) -> list[Permutation]:
-    """Generators of the normal closure of xs in <gens>: each element taken
-    from the queue (seeded with xs) that is not yet in the subgroup found so
-    far joins it, and its conjugates by the generators join the queue.
-    One chain of the subgroup found so far grows with each joining element."""
+def normal_closure(gens, xs) -> BSGS:
+    """Chain of the normal closure of xs in <gens>: each element taken from
+    the queue (seeded with xs) that is not yet in the subgroup found so far
+    extends its chain, and its conjugates by the generators join the queue."""
     gens = list(gens)
     queue = deque(xs)
-    n_gens: list[Permutation] = []
     chain = BSGS([], gens[0].degree)
     while queue:
         c = queue.popleft()
         if chain.add(c):
-            n_gens.append(c)
             queue.extend(conjugate(c, g) for g in gens)
-    return n_gens
+    return chain
 
 
-def derived_subgroup(gens) -> list[Permutation]:
-    """Generators of the derived subgroup: the normal closure of the
-    commutators of pairs of generators."""
+def derived_subgroup(gens) -> BSGS:
+    """Chain of the derived subgroup: the normal closure of the commutators
+    of pairs of generators."""
     gens = list(gens)
     return normal_closure(gens, (
         commutator(gens[i], gens[j])
@@ -317,7 +314,7 @@ def is_simple_small(gens) -> bool:
                     cls.add(y)
                     frontier.append(y)
         seen |= cls
-        if bsgs_build(normal_closure(gens, [el])).order() != n:
+        if normal_closure(gens, [el]).order() != n:
             return False
     return True
 

@@ -90,9 +90,6 @@ class MonomialMatrix:
         """The permutation part K; P -> K is a homomorphism."""
         return self.perm
 
-    def conj_entries(self) -> "MonomialMatrix":
-        return MonomialMatrix(tuple((-p) % 3 for p in self.phases), self.perm)
-
     def to_matrix(self) -> ExactMatrix:
         n = self.degree
         entries = [E_ZERO] * (n * n)

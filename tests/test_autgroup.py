@@ -90,6 +90,62 @@ def test_inverse_and_identity():
     assert (e * tau1()) == tau1()
 
 
+def _conj(m):
+    return MonomialMatrix([-d for d in m.phases], m.perm)
+
+
+def _reference_product(a, b):
+    # the composition law on components: conj^e1 negates the phases of P2, Q2
+    (p1, q1, e1), (p2, q2, e2) = a, b
+    if e1:
+        p2, q2 = _conj(p2), _conj(q2)
+    return p1 * p2, q1 * q2, (e1 + e2) % 2
+
+
+def _reference_inverse(a):
+    p, q, e = a
+    pi, qi = p.inverse(), q.inverse()
+    return (_conj(pi), _conj(qi), e) if e else (pi, qi, e)
+
+
+def _parts(g):
+    return g.p, g.q, g.eps
+
+
+def test_product_of_images_follows_the_composition_law():
+    # elements multiply as 36-point images; decoded, every prefix of a random
+    # word and its inverse must match the law computed on the components
+    rng = random.Random(107)
+    gens = [tau1(), tau2(), star()]
+    flags = set()
+    for _ in range(100):
+        g = XElement.identity()
+        ref = _parts(g)
+        for _ in range(rng.randrange(0, 9)):
+            s = rng.choice(gens)
+            g = g * s
+            ref = _reference_product(ref, _parts(s))
+            assert _parts(g) == ref
+        assert _parts(g.inverse()) == _reference_inverse(ref)
+        flags.add(g.eps)
+    assert flags == {0, 1}
+
+
+def test_components_must_have_degree_6():
+    m5, m6 = MonomialMatrix.identity(5), MonomialMatrix.identity(6)
+    for p, q in ((m5, m6), (m6, m5), (m5, m5)):
+        with pytest.raises(ValueError):
+            XElement(p, q, 0)
+
+
+def test_products_and_inverses_carry_only_the_image():
+    assert XElement.__slots__ == ("perm",)
+    g = tau2() * star()
+    for h in (g, g.inverse(), tau1(), XElement.identity()):
+        assert not hasattr(h, "__dict__")
+        assert type(h.perm) is Permutation and type(h.perm.images) is bytes
+
+
 def test_star_relations():
     assert (star() * star()).is_identity()
     assert conjugate(tau1(), star()) == tau1()
@@ -179,6 +235,31 @@ def test_perm36_round_trip():
 def test_from_perm36_rejects_foreign_permutations(cycles, degree):
     with pytest.raises(ValueError):
         XElement.from_perm36(Permutation.parse(cycles, degree))
+
+
+def test_from_perm36_accepts_exactly_the_image_of_x():
+    # random 36-point permutations, members of X, and members moved by one
+    # transposition: from_perm36 raises ValueError exactly on non-members
+    rng = random.Random(108)
+    candidates = []
+    for _ in range(60):
+        images = list(range(36))
+        rng.shuffle(images)
+        member = random_word(rng).to_perm36()
+        swap = list(range(36))
+        i, j = rng.sample(range(36), 2)
+        swap[i], swap[j] = j, i
+        candidates += [Permutation(images), member, member * Permutation(swap)]
+    verdicts = set()
+    for p in candidates:
+        inside = x_bsgs().contains(p)
+        verdicts.add(inside)
+        if inside:
+            assert XElement.from_perm36(p).to_perm36() == p
+        else:
+            with pytest.raises(ValueError):
+                XElement.from_perm36(p)
+    assert verdicts == {True, False}
 
 
 def test_embeddings_and_n_subgroup_yield_bytes_images():

@@ -52,15 +52,6 @@ def test_pi_is_a_homomorphism():
         assert (a * b).pi() == a.pi() * b.pi()
 
 
-def test_conj_entries_is_an_automorphism():
-    rng = random.Random(3)
-    for _ in range(100):
-        a, b = random_monomial(rng), random_monomial(rng)
-        assert (a * b).conj_entries() == a.conj_entries() * b.conj_entries()
-    m = random_monomial(rng)
-    assert m.conj_entries().conj_entries() == m
-
-
 def test_tau2_first_component_squared_is_diagonal():
     # brute force through the matrix product: the square has trivial
     # permutation part
