@@ -4,8 +4,12 @@ hashable states, normal closures and derived subgroups, centers, simplicity
 for small groups, kernels of block actions, and generator-image closure for
 building homomorphisms.
 
+Every orbit search is one breadth-first search, _schreier_search, over a
+Schreier graph: closure, hom_closure, orbit_stabilizer, the Schreier-Sims
+transversals and the conjugacy classes of is_simple_small each call it once.
+
 Everything is deterministic: base points are taken greedily as the smallest
-point moved by a generator that fixes the base so far, orbit searches are FIFO
+point moved by a generator that fixes the base so far, the search is FIFO
 breadth-first with generators in the order given, and no randomisation is used
 anywhere.
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 
 from .perms import Permutation
 
@@ -38,10 +43,43 @@ class ClosureCapError(ValueError):
     """Enumeration exceeded its element cap."""
 
 
-# Largest group that closure and hom_closure will enumerate: center_of,
-# is_simple_small (on prop2's order-360 quotient), the orbit search in
-# autgroup.compute_aut_star and both S6 tables in outer go through them.
+# Largest orbit _schreier_search will enumerate, and so the cap of closure,
+# hom_closure and (since it shares the search; it had no cap before)
+# orbit_stabilizer.  is_simple_small (on prop2's order-360 quotient), the
+# orbit search in autgroup.compute_aut_star and the closures it runs, and
+# both S6 tables in outer go through them.
 _ENUMERATION_CAP = 10**6
+_UNSEEN = object()
+
+
+def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None) -> dict:
+    """Breadth-first search of the orbit of the states in labels (a dict
+    state -> label, filled in place and returned) under act, with generators
+    in the order given.
+
+    A state first reached from s by gens[k] gets the label
+    labels[s] * label_gens[k]; without label_gens it gets labels[s].  On any
+    other edge s -> t whose two labels disagree, on_edge(labels[s] *
+    label_gens[k], labels[t]) is called.  Raises ClosureCapError when the
+    orbit exceeds _ENUMERATION_CAP.
+    """
+    steps = list(zip(gens, label_gens or gens))
+    queue = deque(labels)
+    while queue:
+        s = queue.popleft()
+        ls = labels[s]
+        for g, lg in steps:
+            t = act(s, g)
+            lt = labels.get(t, _UNSEEN)
+            lsg = ls if label_gens is None else ls * lg
+            if lt is _UNSEEN:
+                if len(labels) >= _ENUMERATION_CAP:
+                    raise ClosureCapError(f"orbit exceeded cap {_ENUMERATION_CAP}")
+                labels[t] = lsg
+                queue.append(t)
+            elif on_edge is not None and lsg != lt:
+                on_edge(lsg, lt)
+    return labels
 
 
 def commutator(a, b):
@@ -55,7 +93,8 @@ def conjugate(a, b):
 
 
 def closure(gens) -> list:
-    """All elements of <gens> by breadth-first multiplication, identity first.
+    """All elements of <gens> in the order _schreier_search reaches them from
+    the identity under right multiplication, identity first.
 
     Deterministic given generator order.  Raises ClosureCapError past
     _ENUMERATION_CAP.
@@ -64,18 +103,11 @@ def closure(gens) -> list:
     if not gens:
         raise ValueError("need at least one generator")
     e = gens[0] * gens[0].inverse()
-    els = {e: None}
-    queue = deque([e])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = x * g
-            if y not in els:
-                if len(els) >= _ENUMERATION_CAP:
-                    raise ClosureCapError(f"closure exceeded cap {_ENUMERATION_CAP}")
-                els[y] = None
-                queue.append(y)
-    return list(els)
+    return list(_schreier_search(gens, mul, {e: None}))
+
+
+def _point_act(p: int, g: Permutation) -> int:
+    return g.images[p]
 
 
 class BSGS:
@@ -116,21 +148,6 @@ class BSGS:
         for i in reversed(range(len(self.base))):
             self._schreier_sims(i)
 
-    def _rebuild_transversal(self, i: int) -> None:
-        b = self.base[i]
-        T = {b: Permutation.identity(self.degree)}
-        queue = deque([b])
-        gens = self._level_gens[i]
-        while queue:
-            p = queue.popleft()
-            up = T[p]
-            for g in gens:
-                q = g.apply(p)
-                if q not in T:
-                    T[q] = up * g
-                    queue.append(q)
-        self._transversals[i] = T
-
     def _strip(self, g: Permutation, start: int) -> tuple[Permutation, int]:
         for j in range(start, len(self.base)):
             p = g.apply(self.base[j])
@@ -142,16 +159,16 @@ class BSGS:
 
     def _schreier_sims(self, i: int) -> None:
         # Precondition: levels > i are complete.  Postcondition: levels >= i are.
-        self._rebuild_transversal(i)
-        T = self._transversals[i]
-        level_gens = list(self._level_gens[i])
-        for p in list(T.keys()):
-            up = T[p]
-            for g in level_gens:
-                q = g.apply(p)
-                sg = up * g * T[q].inverse()
-                if not sg.is_identity():
-                    self.add(sg, i)
+        # One search builds transversal i and adds each non-identity Schreier
+        # generator u_p * g * u_{p^g}^-1 as its edge is found; add touches
+        # only levels > i.
+        T = self._transversals[i] = {self.base[i]: Permutation.identity(self.degree)}
+        gens = list(self._level_gens[i])
+
+        def on_edge(upg, uq):
+            self.add(upg * uq.inverse(), i)
+
+        _schreier_search(gens, _point_act, T, on_edge, gens)
 
     def add(self, g: Permutation, i: int = -1) -> bool:
         """Extend the chain by g, which must fix base[:i+1]; False if g is
@@ -208,7 +225,8 @@ class OrbitStabilizer:
 
 def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
     """Orbit of seed under <gens> acting on hashable states, with Schreier
-    generators u_s * g * u_{s.g}^-1 for the stabilizer.
+    generators u_s * g * u_{s.g}^-1 for the stabilizer, found by
+    _schreier_search with the transversal u as labels.
 
     Identity candidates (u_s * g == u_{s.g}) are skipped before keep sees
     them.  keep(candidate) decides which Schreier generators to retain; the
@@ -216,7 +234,9 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
     the group generated by the retained ones (the default and the exact
     membership tests used by callers guarantee this), so the kept set
     generates the full stabilizer.  The action is spot-checked for
-    consistency on generator pairs before the search starts.
+    consistency on generator pairs before the search starts.  Like every
+    user of the shared search, it raises ClosureCapError when the orbit
+    exceeds _ENUMERATION_CAP.
     """
     gens = list(gens)
     if not gens:
@@ -237,23 +257,14 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
             seen.add(candidate)
             return True
 
-    reps = {seed: e}
-    queue = deque([seed])
     kept = []
-    while queue:
-        s = queue.popleft()
-        us = reps[s]
-        for g in gens:
-            t = act(s, g)
-            usg = us * g
-            ut = reps.get(t)
-            if ut is None:
-                reps[t] = usg
-                queue.append(t)
-            elif usg != ut:
-                candidate = usg * ut.inverse()
-                if keep(candidate):
-                    kept.append(candidate)
+
+    def on_edge(usg, ut):
+        candidate = usg * ut.inverse()
+        if keep(candidate):
+            kept.append(candidate)
+
+    reps = _schreier_search(gens, act, {seed: e}, on_edge, gens)
     return OrbitStabilizer(orbit_size=len(reps), stabilizer_generators=kept)
 
 
@@ -303,17 +314,8 @@ def is_simple_small(gens) -> bool:
         if el in seen or el.is_identity():
             seen.add(el)
             continue
-        # conjugacy class of el under the group (closure under generator conjugation)
-        cls = {el}
-        frontier = deque([el])
-        while frontier:
-            x = frontier.popleft()
-            for g in gens:
-                y = conjugate(x, g)
-                if y not in cls:
-                    cls.add(y)
-                    frontier.append(y)
-        seen |= cls
+        # conjugacy class of el: its orbit under conjugation by the generators
+        seen.update(_schreier_search(gens, conjugate, {el: None}))
         if normal_closure(gens, [el]).order() != n:
             return False
     return True
@@ -346,8 +348,9 @@ def action_kernel_order(bsgs: BSGS, block_map) -> int:
 
 
 def hom_closure(pairs) -> dict:
-    """Extend generator pairs (g, image) to the full domain group by breadth
-    first closure over the Cayley graph; returns the table {g: image of g}.
+    """Extend generator pairs (g, image) to the full domain group by
+    _schreier_search over the Cayley graph, with images as labels; returns
+    the table {g: image of g}.
 
     Raises InconsistentImagesError when two words for the same element get
     different images (the data is not a homomorphism), and ClosureCapError
@@ -359,23 +362,11 @@ def hom_closure(pairs) -> dict:
     pairs = [(g, im) for g, im in pairs]
     if not pairs:
         raise ValueError("need at least one generator pair")
-    g0, im0 = pairs[0]
-    e_dom = g0 * g0.inverse()
-    e_img = im0 * im0.inverse()
-    table = {e_dom: e_img}
-    queue = deque([e_dom])
-    while queue:
-        g = queue.popleft()
-        tg = table[g]
-        for s, si in pairs:
-            h = g * s
-            hi = tg * si
-            prev = table.get(h)
-            if prev is None:
-                if len(table) >= _ENUMERATION_CAP:
-                    raise ClosureCapError(f"domain exceeded cap {_ENUMERATION_CAP}")
-                table[h] = hi
-                queue.append(h)
-            elif prev != hi:
-                raise InconsistentImagesError("generator images are not a homomorphism")
-    return table
+    gens, images = zip(*pairs)
+    e_dom = gens[0] * gens[0].inverse()
+    e_img = images[0] * images[0].inverse()
+
+    def on_edge(hi, prev):
+        raise InconsistentImagesError("generator images are not a homomorphism")
+
+    return _schreier_search(gens, mul, {e_dom: e_img}, on_edge, images)

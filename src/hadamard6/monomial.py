@@ -47,7 +47,8 @@ class MonomialMatrix:
 
     @classmethod
     def diagonal(cls, phases) -> "MonomialMatrix":
-        return cls(phases, Permutation.identity(len(tuple(phases))))
+        phases = tuple(phases)
+        return cls(phases, Permutation.identity(len(phases)))
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "MonomialMatrix":

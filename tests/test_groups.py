@@ -1,9 +1,12 @@
+import ast
 import random
 from itertools import permutations as iter_permutations
+from pathlib import Path
 
 import pytest
 
 from hadamard6 import groups
+from hadamard6.autgroup import x_generators
 from hadamard6.groups import (
     ActionConsistencyError,
     BlockSystemError,
@@ -118,6 +121,97 @@ def test_orbit_stabilizer_never_offers_identity_candidates():
     result = orbit_stabilizer(gens, lambda x, g: x * g, e, keep=keep)
     assert result.orbit_size == 24
     assert offered == []
+
+
+S5 = [Permutation.parse("(1,2,3,4,5)", 5), Permutation.parse("(1,2)", 5)]
+
+
+def _point_act(p, g):
+    return g.apply(p)
+
+
+def test_orbit_stabilizer_cap(monkeypatch):
+    seven_cycle = Permutation.parse("(1,2,3,4,5,6,7)", 7)
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 5)
+    with pytest.raises(ClosureCapError):
+        orbit_stabilizer([seven_cycle], _point_act, 0)
+
+
+def test_schreier_search_labels_form_a_transversal():
+    labels = groups._schreier_search(S5, _point_act, {0: Permutation.identity(5)},
+                                     label_gens=S5)
+    assert sorted(labels) == list(range(5))
+    for t, u in labels.items():
+        assert _point_act(0, u) == t
+
+
+def test_schreier_search_calls_on_edge_exactly_on_disagreeing_non_tree_edges():
+    edges = []
+    labels = groups._schreier_search(S5, _point_act, {0: Permutation.identity(5)},
+                                     lambda usg, ut: edges.append((usg, ut)), S5)
+    # replay the search: the first edge to reach a state is its tree edge
+    reached = {0}
+    expected = []
+    for s, us in labels.items():
+        for g in S5:
+            t = _point_act(s, g)
+            if t not in reached:
+                reached.add(t)
+                assert labels[t] == us * g
+            elif us * g != labels[t]:
+                expected.append((us * g, labels[t]))
+    assert expected and edges == expected
+
+
+class _TwoPassBSGS(BSGS):
+    """Schreier-Sims as two passes: rebuild transversal i, then add every
+    non-identity Schreier generator of level i."""
+
+    def _schreier_sims(self, i):
+        b = self.base[i]
+        T = {b: Permutation.identity(self.degree)}
+        reached = [b]
+        gens = list(self._level_gens[i])
+        for p in reached:
+            for g in gens:
+                q = g.apply(p)
+                if q not in T:
+                    T[q] = T[p] * g
+                    reached.append(q)
+        self._transversals[i] = T
+        for p in list(T):
+            for g in gens:
+                sg = T[p] * g * T[g.apply(p)].inverse()
+                if not sg.is_identity():
+                    self.add(sg, i)
+
+
+@pytest.mark.parametrize("name", ["x", "s7"])
+def test_one_pass_schreier_sims_matches_the_two_pass_chain(name):
+    if name == "x":
+        gens = [g.to_perm36() for g in x_generators()]
+    else:
+        gens = [Permutation.parse("(1,2,3,4,5,6,7)", 7), Permutation.parse("(1,2)", 7)]
+    new, old = BSGS(gens), _TwoPassBSGS(gens)
+    assert new.base == old.base
+    assert new.strong_generators() == old.strong_generators()
+    assert new._transversals == old._transversals
+    assert [list(T) for T in new._transversals] == [list(T) for T in old._transversals]
+
+
+def test_the_only_queues_are_the_shared_search_and_the_normal_closure_worklist():
+    package = Path(groups.__file__).resolve().parent
+    owners = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners += [
+                    f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "popleft"
+                ]
+    assert sorted(owners) == ["groups.py:_schreier_search", "groups.py:normal_closure"]
 
 
 def _reference_sift(chain, g):
@@ -255,6 +349,12 @@ def test_hom_closure_rejects_non_homomorphism():
     dst = Permutation.parse("(1,2,3)", 3)   # order 3
     with pytest.raises(InconsistentImagesError):
         hom_closure([(src, dst)])
+
+
+def test_hom_closure_rejects_two_images_for_one_generator():
+    a = Permutation.parse("(1,2,3)", 3)
+    with pytest.raises(InconsistentImagesError):
+        hom_closure([(a, a), (a, Permutation.identity(3))])
 
 
 def test_hom_closure_rejects_non_homomorphism_on_a_large_domain():

@@ -76,6 +76,12 @@ def test_diagonal_inverse_pair():
     assert (a * b).is_identity()
 
 
+def test_diagonal_accepts_a_generator():
+    d = MonomialMatrix.diagonal(x for x in (1, 2, 0))
+    assert d == MonomialMatrix.diagonal((1, 2, 0))
+    assert d.perm.is_identity() and d.phases == (1, 2, 0)
+
+
 def test_inverse():
     rng = random.Random(4)
     for _ in range(50):
