@@ -40,7 +40,6 @@ from .matrices import ExactMatrix, NonUnimodularEntryError, h6
 from .monomial import MonomialBMatrix, MonomialMatrix
 from .outer import (
     AutoTable,
-    SynthematicTotal,
     build_outer,
     compare_up_to_inner,
     is_inner,
@@ -67,7 +66,6 @@ __all__ = [
     "OMEGA2",
     "Permutation",
     "SplitQuaternion",
-    "SynthematicTotal",
     "XElement",
     "action_kernel_order",
     "b_rep",

@@ -115,25 +115,12 @@ class XElement:
         return self.perm.is_identity()
 
     def act(self, H: ExactMatrix) -> ExactMatrix:
-        """(P^-1 H Q), conjugated entrywise iff eps = 1."""
-        if H.ring is not EisensteinRational:
-            raise ValueError("the action is defined on matrices over Q(w)")
-        if H.rows != 6 or H.cols != 6:
-            raise ValueError("dimension mismatch")
-        p, q = self.p, self.q
-        d, sgi = p.phases, p.perm.inverse().images
-        qd, pgi = q.phases, q.perm.inverse().images
-        ent = H.entries
-        eps = self.eps
-        out = []
-        for i in range(6):
-            ii = sgi[i]
-            di = d[ii]
-            for j in range(6):
-                jj = pgi[j]
-                v = ent[ii * 6 + jj].times_omega_pow(qd[jj] - di)
-                out.append(v.conj() if eps else v)
-        return ExactMatrix._raw(6, 6, tuple(out), EisensteinRational)
+        """(P^-1 H Q), conjugated entrywise iff eps = 1; ValueError unless H
+        is 6x6 over Q(w)."""
+        m = self.p.inverse().to_matrix() @ H @ self.q.to_matrix()
+        if not self.eps:
+            return m
+        return ExactMatrix._raw(6, 6, tuple(x.conj() for x in m.entries), EisensteinRational)
 
     def to_perm36(self) -> Permutation:
         """Faithful image on 18 row states plus 18 column states."""
@@ -436,14 +423,6 @@ def submodule_closure_size(v) -> int:
     return 3 ** len(basis)
 
 
-def _expected_closure_size(v) -> int:
-    """Zero generates nothing, a nonzero constant the order-3 constant
-    module, and every non-constant zero-sum vector the whole module."""
-    if len(set(v)) == 1:
-        return 1 if v[0] == 0 else 3
-    return 243
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 
@@ -619,7 +598,6 @@ def verify_submodule() -> Report:
         check("zero_closure", "the zero vector generates the trivial module", True, zero_ok),
         check("constant_closures", "each nonzero constant generates the order-3 module", True, const_ok),
         check("nonconstant_closures", "all 240 non-constant vectors generate everything", 240, full),
-        check("overall", "submodule check", True,
-              all(sizes[v] == _expected_closure_size(v) for v in orbits)),
+        check("overall", "submodule check", True, zero_ok and const_ok and full == 240),
     ]
     return Report("submodule", clauses)

@@ -41,12 +41,11 @@ def _rational(x):
 class EisensteinRational:
     """a + b*w with rational a, b."""
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
         self.a = a if type(a) is int else _rational(a)
         self.b = b if type(b) is int else _rational(b)
-        self._hash = None
 
     @classmethod
     def zero(cls) -> "EisensteinRational":
@@ -117,9 +116,6 @@ class EisensteinRational:
             return EisensteinRational(-b, a - b)
         return EisensteinRational(b - a, -a)
 
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
@@ -130,10 +126,8 @@ class EisensteinRational:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        if self._hash is None:
-            # equal to a rational number -> hash like it (eq/hash contract)
-            self._hash = hash((self.a, self.b)) if self.b else hash(self.a)
-        return self._hash
+        # equal to a rational number -> hash like it (eq/hash contract)
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __repr__(self):
         return f"EisensteinRational({self.a!r}, {self.b!r})"
@@ -172,12 +166,11 @@ OMEGA_POWERS = (E_ONE, OMEGA, OMEGA2)
 class SplitQuaternion:
     """z + v*B with z, v in Q(w); B^2 = 1 and B inverts the complex subfield."""
 
-    __slots__ = ("z", "v", "_hash")
+    __slots__ = ("z", "v")
 
     def __init__(self, z=0, v=0):
         self.z = z if isinstance(z, EisensteinRational) else EisensteinRational(z)
         self.v = v if isinstance(v, EisensteinRational) else EisensteinRational(v)
-        self._hash = None
 
     @classmethod
     def from_complex(cls, z: EisensteinRational) -> "SplitQuaternion":
@@ -223,9 +216,6 @@ class SplitQuaternion:
             return SplitQuaternion(other) * self
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return self.z.is_zero() and self.v.is_zero()
-
     def __bool__(self):
         return bool(self.z) or bool(self.v)
 
@@ -237,9 +227,7 @@ class SplitQuaternion:
         return self.z == other.z and self.v == other.v
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.z, self.v)) if self.v else hash(self.z)
-        return self._hash
+        return hash((self.z, self.v)) if self.v else hash(self.z)
 
     def __repr__(self):
         return f"SplitQuaternion({self.z!r}, {self.v!r})"

@@ -20,7 +20,7 @@ class NonUnimodularEntryError(ValueError):
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "entries", "ring", "_hash")
+    __slots__ = ("rows", "cols", "entries", "ring")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -37,16 +37,11 @@ class ExactMatrix:
         self.cols = cols
         self.entries = entries
         self.ring = ring
-        self._hash = None
 
     @classmethod
     def _raw(cls, rows, cols, entries, ring) -> "ExactMatrix":
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "ring", ring)
-        object.__setattr__(m, "_hash", None)
+        m.rows, m.cols, m.entries, m.ring = rows, cols, entries, ring
         return m
 
     @classmethod
@@ -78,7 +73,7 @@ class ExactMatrix:
                 for t in range(k):
                     x = arow[t]
                     y = b[t * m + j]
-                    if x.is_zero() or y.is_zero():
+                    if not x or not y:
                         continue
                     acc = acc + x * y
                 out.append(acc)
@@ -146,9 +141,7 @@ class ExactMatrix:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.entries))
-        return self._hash
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}, {self.cols}, <{self.ring.__name__} entries>)"

@@ -2,27 +2,24 @@
 from the two projections of the permutation-pair subgroup, plus the classical
 synthemes-and-totals construction as an independent oracle.
 
-Both automorphisms are materialised as full 720-entry tables derived from
-two generator images by hom_closure: sigma from its stated images, the totals
-action from the action of (1,2) and (2,3,4,5,6) on the six totals.
-Bijectivity and inner-ness are checked over every entry; multiplicativity is
-proved by generator induction: the table must equal the closure of its own
-generator images.
+Both automorphisms are 720-entry tables completed by hom_closure from two
+generator images: sigma sends the first projection of each element of
+Y = <tau1, tau2'> to its second, so its images are read off tau1 and tau2';
+the totals action is read off the action of (1,2) and (2,3,4,5,6) on the six
+totals.  That closure is the only enumeration of S6 here.  Bijectivity and
+inner-ness are checked over every entry; multiplicativity is proved by
+generator induction: the table must equal the closure of its own generator
+images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
 
+from .autgroup import tau1, tau2prime
 from .groups import InconsistentImagesError, hom_closure
 from .perms import Permutation
-
-
-@cache
-def all_s6() -> tuple[Permutation, ...]:
-    return tuple(Permutation(img) for img in permutations(range(6)))
 
 
 @dataclass(eq=False)
@@ -65,12 +62,6 @@ class AutoTable:
         }
 
 
-_SIGMA_GENERATOR_IMAGES = (
-    ("(2,3,4,5,6)", "(2,3,4,5,6)"),
-    ("(1,2)", "(1,2)(3,6)(4,5)"),
-)
-
-
 def _closure_table(pairs) -> AutoTable:
     """The map with the given generator images, completed by hom_closure,
     which rejects images that do not define a homomorphism."""
@@ -82,53 +73,26 @@ def _closure_table(pairs) -> AutoTable:
 
 @cache
 def build_outer() -> AutoTable:
-    """sigma, determined by its generator images and completed by closure."""
-    return _closure_table([
-        (Permutation.parse(src, 6), Permutation.parse(dst, 6))
-        for src, dst in _SIGMA_GENERATOR_IMAGES
-    ])
-
-
-@cache
-def _identity_table() -> AutoTable:
-    return AutoTable({g: g for g in all_s6()}, ())
+    """sigma: the first projection of each element of Y to its second, from
+    the two projections of Y's generators and completed by closure."""
+    return _closure_table([(g.p.pi(), g.q.pi()) for g in (tau1(), tau2prime())])
 
 
 def is_inner(t: AutoTable) -> Permutation | None:
     """The conjugating element if the table is conjugation by one, else None."""
-    return compare_up_to_inner(t, _identity_table())
+    return compare_up_to_inner(t, AutoTable({g: g for g in t.table}, ()))
 
 
 def compare_up_to_inner(t1: AutoTable, t2: AutoTable) -> Permutation | None:
-    """h with t1(g) = h^-1 t2(g) h for all g, if any."""
-    for h in all_s6():
+    """h with t1(g) = h^-1 t2(g) h for all g, if any.  The candidates h are
+    t2's domain; S6 has trivial center, so at most one h qualifies and the
+    order of the search cannot change the result."""
+    for h in t2.table:
         hi = h.inverse()
         if all(t1.apply(s) == hi * t2.apply(s) * h for s in t1.generators):
             if all(t1.apply(g) == hi * t2.apply(g) * h for g in t1.table):
                 return h
     return None
-
-
-@dataclass(frozen=True)
-class SynthematicTotal:
-    """Five synthemes (perfect matchings on six points, 0-based duads)
-    covering each of the 15 duads exactly once."""
-
-    synthemes: tuple
-
-    def __post_init__(self):
-        if len(self.synthemes) != 5:
-            raise ValueError("a total consists of exactly 5 synthemes")
-        covered: list = []
-        for s in self.synthemes:
-            if len(s) != 3:
-                raise ValueError("a syntheme consists of 3 duads")
-            pts = [p for d in s for p in d]
-            if sorted(pts) != list(range(6)):
-                raise ValueError("syntheme duads are not disjoint")
-            covered.extend(s)
-        if len(set(covered)) != 15:
-            raise ValueError("synthemes do not cover the 15 duads exactly once")
 
 
 @cache
@@ -150,8 +114,10 @@ def all_synthemes() -> tuple:
 
 
 @cache
-def sylvester_totals() -> tuple[SynthematicTotal, ...]:
-    """All partitions of the 15 duads into 5 disjoint synthemes; there are 6."""
+def sylvester_totals() -> tuple[tuple, ...]:
+    """All partitions of the 15 duads into 5 disjoint synthemes, each a sorted
+    tuple of synthemes; there are 6.  Only synthemes disjoint from those
+    already chosen are added, so any 5 cover the 15 duads exactly once."""
     synthemes = all_synthemes()
     totals: list[tuple] = []
 
@@ -165,13 +131,13 @@ def sylvester_totals() -> tuple[SynthematicTotal, ...]:
                 extend(i + 1, chosen + (s,), used | frozenset(s))
 
     extend(0, (), frozenset())
-    return tuple(SynthematicTotal(t) for t in sorted(totals))
+    return tuple(sorted(totals))
 
 
-def _transform_total(total: SynthematicTotal, g: Permutation) -> tuple:
+def _transform_total(total: tuple, g: Permutation) -> tuple:
     img = g.images
     out = []
-    for s in total.synthemes:
+    for s in total:
         duads = tuple(sorted(tuple(sorted((img[a], img[b]))) for a, b in s))
         out.append(duads)
     return tuple(sorted(out))
@@ -184,7 +150,7 @@ def totals_outer() -> AutoTable:
     the totals) is a right action, hence a homomorphism, so the closure of
     the two images is the action on every element."""
     totals = sylvester_totals()
-    index = {t.synthemes: i for i, t in enumerate(totals)}
+    index = {t: i for i, t in enumerate(totals)}
     gens = (Permutation.parse("(1,2)", 6), Permutation.parse("(2,3,4,5,6)", 6))
     return _closure_table([
         (g, Permutation(tuple(index[_transform_total(t, g)] for t in totals)))
@@ -212,7 +178,7 @@ def verify_outer():
         check("transpositions_to_2_2_2", "the totals action sends every transposition to shape 2+2+2",
               True, all(
                   totals_outer().apply(g).cycle_type() == (2, 2, 2)
-                  for g in all_s6() if g.cycle_type() == (2, 1, 1, 1, 1)
+                  for g in totals_outer().table if g.cycle_type() == (2, 1, 1, 1, 1)
               )),
         check("totals_outer_outer", "the totals action is also outer", None, is_inner(totals_outer())),
         check("conjugator_exists", "sigma and the totals action differ by an inner map",

@@ -140,6 +140,19 @@ def test_verification_failure_gives_exit_code_one(capsys, monkeypatch):
     assert "[FAIL] submodule.forced" in out
 
 
+def test_suite_registry_looks_the_suite_up_at_call_time(capsys, monkeypatch):
+    # a suite replaced on its module after import (as the benchmark tracer
+    # does) is the one the CLI runs
+    from hadamard6 import cli
+    from hadamard6.report import Clause, Report
+
+    stub = Report("codes", [Clause("stub", "stubbed suite", "1", "1", True)])
+    monkeypatch.setattr(cli.gf4, "verify_codes", lambda: stub)
+    code, out, _ = run(capsys, "verify", "--only", "codes", "--json")
+    assert code == 0
+    assert json.loads(out)["suites"] == [stub.to_dict()]
+
+
 def test_missing_command_is_usage_error(capsys):
     code, _, _ = run(capsys, )
     assert code == 2

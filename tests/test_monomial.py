@@ -31,7 +31,7 @@ def test_to_matrix_places_phases_on_rows():
     mat = m.to_matrix()
     assert mat.entry(0, 1) == E_ONE      # row 1 has its entry in column 2
     assert mat.entry(2, 2) == OMEGA      # row 3 keeps column 3, entry w
-    assert sum(1 for e in mat.entries if not e.is_zero()) == 6
+    assert sum(1 for e in mat.entries if e) == 6
 
 
 def test_identity_to_matrix():

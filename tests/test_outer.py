@@ -1,9 +1,10 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hadamard6 import outer
+from hadamard6.autgroup import tau1, tau2prime
+from hadamard6.groups import closure
 from hadamard6.outer import (
     AutoTable,
-    all_s6,
     all_synthemes,
     build_outer,
     compare_up_to_inner,
@@ -14,13 +15,17 @@ from hadamard6.outer import (
 from hadamard6.perms import Permutation
 
 
+# S6 enumerated independently of the hom_closure that builds the tables
+S6 = tuple(Permutation(img) for img in permutations(range(6)))
+
+
 def p6(text):
     return Permutation.parse(text, 6)
 
 
 def conjugation_table(h):
     hi = h.inverse()
-    table = {g: hi * g * h for g in all_s6()}
+    table = {g: hi * g * h for g in S6}
     return AutoTable(table, (p6("(1,2)"), p6("(2,3,4,5,6)")))
 
 
@@ -31,6 +36,14 @@ def test_sigma_generator_images():
     assert sigma.apply(Permutation.identity(6)).is_identity()
 
 
+def test_sigma_maps_the_first_projection_of_y_to_the_second():
+    y = closure([tau1(), tau2prime()])
+    assert len(y) == 720
+    assert len({g.p.pi() for g in y}) == 720
+    sigma = build_outer()
+    assert all(sigma.apply(g.p.pi()) == g.q.pi() for g in y)
+
+
 def test_sigma_on_the_six_cycle():
     sigma = build_outer()
     assert str(sigma.apply(p6("(1,2,3,4,5,6)"))) == "(1,2,6)(3,5)"
@@ -39,6 +52,7 @@ def test_sigma_on_the_six_cycle():
 def test_sigma_is_a_bijective_table_of_720():
     sigma = build_outer()
     assert len(sigma.table) == 720
+    assert set(sigma.table) == set(S6)
     assert sigma.is_bijective()
 
 
@@ -54,7 +68,7 @@ def test_sigma_multiplicative_exhaustively():
 
 def test_is_multiplicative_rejects_two_swapped_entries():
     sigma = build_outer()
-    a, b = [g for g in all_s6() if g not in sigma.generators and not g.is_identity()][:2]
+    a, b = [g for g in S6 if g not in sigma.generators and not g.is_identity()][:2]
     table = dict(sigma.table)
     table[a], table[b] = table[b], table[a]
     broken = AutoTable(table, sigma.generators)
@@ -68,7 +82,7 @@ def test_is_multiplicative_rejects_generators_that_miss_the_domain():
     # entries times generators would accept this non-homomorphism
     s = p6("(1,2)")
     a, b = p6("(1,2,3)"), p6("(1,3,2)")
-    table = {g: g for g in all_s6()}
+    table = {g: g for g in S6}
     table[a], table[a * s], table[b], table[b * s] = b, b * s, a, a * s
     t = AutoTable(table, (s,))
     assert t.is_bijective()
@@ -84,7 +98,7 @@ def test_sigma_preserves_class_shapes_as_a_set_map():
     # images of a conjugacy class form a single conjugacy class
     sigma = build_outer()
     by_type = {}
-    for g in all_s6():
+    for g in S6:
         by_type.setdefault(g.cycle_type(), set()).add(g)
     for cls in by_type.values():
         images = {sigma.apply(g) for g in cls}
@@ -95,7 +109,7 @@ def test_sigma_preserves_class_shapes_as_a_set_map():
 
 def test_sigma_swaps_transpositions_and_triple_transpositions():
     sigma = build_outer()
-    for g in all_s6():
+    for g in S6:
         if g.cycle_type() == (2, 1, 1, 1, 1):
             assert sigma.apply(g).cycle_type() == (2, 2, 2)
         if g.cycle_type() == (2, 2, 2):
@@ -140,7 +154,7 @@ def test_six_totals_covering_every_duad_once():
     totals = sylvester_totals()
     assert len(totals) == 6
     for t in totals:
-        covered = [d for s in t.synthemes for d in s]
+        covered = [d for s in t for d in s]
         assert len(covered) == 15
         assert len(set(covered)) == 15
 
@@ -155,10 +169,10 @@ def test_totals_action_is_an_outer_automorphism():
 
 def test_totals_table_is_the_elementwise_action_on_the_totals():
     totals = sylvester_totals()
-    index = {t.synthemes: i for i, t in enumerate(totals)}
+    index = {t: i for i, t in enumerate(totals)}
     reference = {
         g: Permutation(tuple(index[outer._transform_total(t, g)] for t in totals))
-        for g in all_s6()
+        for g in S6
     }
     assert totals_outer().table == reference
 
@@ -175,7 +189,7 @@ def test_totals_table_acts_on_the_generators_only(monkeypatch):
 
 def test_totals_action_sends_transpositions_to_triple_transpositions():
     t = totals_outer()
-    transpositions = [g for g in all_s6() if g.cycle_type() == (2, 1, 1, 1, 1)]
+    transpositions = [g for g in S6 if g.cycle_type() == (2, 1, 1, 1, 1)]
     assert len(transpositions) == 15
     for g in transpositions:
         assert t.apply(g).cycle_type() == (2, 2, 2)
