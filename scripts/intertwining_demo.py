@@ -5,7 +5,8 @@ equation H * B' * dagger(H) = 6 * A' entry by entry."""
 
 from hadamard6.autgroup import star, tau1, tau2
 from hadamard6.brep import b_rep, verify_intertwining
-from hadamard6.matrices import h6
+from hadamard6.eisenstein import SplitQuaternion
+from hadamard6.matrices import ExactMatrix, h6
 
 
 def main():
@@ -23,8 +24,8 @@ def main():
     print("H * B' * dagger(H) == 6 * A':", lhs == rhs)
     print("verify_intertwining(tau2 *):", verify_intertwining(t2s))
     print("verify_intertwining(tau1):  ", verify_intertwining(tau1()))
-    sq = rep.a * rep.a
-    print("A' squared is the identity: ", sq.is_identity())
+    a = rep.a.to_matrix()
+    print("A' squared is the identity: ", a @ a == ExactMatrix.identity(6, SplitQuaternion))
 
 
 if __name__ == "__main__":

@@ -80,16 +80,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_outer(args) -> int:
-    sigma = outer.build_outer()
     if args.outer_command == "table":
-        print(json.dumps(sigma.to_json(), indent=2))
+        print(json.dumps(outer.build_outer().to_json(), indent=2))
         return 0
     try:
         g = Permutation.parse(args.cycles, 6)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(str(sigma.apply(g)))
+    print(str(outer.build_outer().apply(g)))
     return 0
 
 

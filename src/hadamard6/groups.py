@@ -357,7 +357,9 @@ def hom_closure(pairs) -> dict:
     when the domain exceeds _ENUMERATION_CAP.  Every element is taken from
     the queue and tried against every generator, so a finished table satisfies
     table[g * s] == table[g] * image(s) for every element g and generator s;
-    by induction on word length the table is multiplicative.
+    by induction on word length the table is multiplicative.  Its one caller
+    is outer, which closes both S6 automorphism tables from generator images;
+    brep proves its representation multiplicative on encodings instead.
     """
     pairs = [(g, im) for g, im in pairs]
     if not pairs:

@@ -8,7 +8,10 @@ action.  With that convention
 
     (d1, s1) * (d2, s2) = (d1 + d2 o s1, s1 s2),   (d2 o s1)[r] = d2[r^s1]
 
-and the permutation parts multiply exactly like the matrices do.  Text format:
+and the permutation parts multiply exactly like the matrices do.  B-valued
+matrices have no product of their own: the unit law in MonomialBMatrix's
+docstring encodes a pair of them as a 36-point permutation (b_pair_perm36),
+and products are taken there.  Text format:
 "[e1,...,en]" followed by the cycles of K ("[1,w,w2,1,1,1](1,2)"); the B-form
 entries append a B suffix, so the unit w^a * B prints as "wB", "w2B" or "B".
 """
@@ -27,6 +30,7 @@ from .perms import Permutation
 
 _ENTRY_NAMES = {0: "1", 1: "w", 2: "w2"}
 _ENTRY_VALUES = {"1": 0, "w": 1, "w2": 2}
+_new = object.__new__
 
 
 class MonomialMatrix:
@@ -126,7 +130,16 @@ class MonomialMatrix:
 class MonomialBMatrix:
     """Monomial matrix with unit entries w^a * B^b; same D*K convention.
 
-    Entry units multiply by w^a B^b * w^c B^d = w^(a + (-1)^b c) B^(b+d).
+    The units multiply by w^a B^b * w^c B^d = w^(a + (-1)^b c) B^(b+d) and
+    form a group isomorphic to S3, which acts faithfully on the phases c mod 3
+    by c -> (-1)^b (c + a).  So a B-monomial matrix acts faithfully on the 18
+    points (c, r) = 6c + r by
+
+        (c, r)  ->  ((-1)^b_r * (c + a_r),  r^K)
+
+    and b_pair_perm36 stacks two of them on 36 points.  The unit law defines
+    that encoding, not a product: a product of B-monomial matrices is taken on
+    the encoding, which the tests pin against to_matrix products.
     """
 
     __slots__ = ("phases", "perm")
@@ -139,37 +152,18 @@ class MonomialBMatrix:
         self.perm = perm
 
     @classmethod
-    def identity(cls, n: int) -> "MonomialBMatrix":
-        return cls(((0, 0),) * n, Permutation.identity(n))
-
-    @classmethod
     def from_monomial(cls, m: MonomialMatrix, with_beta: bool) -> "MonomialBMatrix":
-        """m itself, or m * (B I); K commutes with the scalar B."""
+        """m itself, or m * (B I); K commutes with the scalar B.  Trusted:
+        m's phases are already reduced, so __init__'s pass is skipped."""
         b = 1 if with_beta else 0
-        return cls(tuple((a, b) for a in m.phases), m.perm)
+        mb = _new(cls)
+        mb.phases = tuple((a, b) for a in m.phases)
+        mb.perm = m.perm
+        return mb
 
     @property
     def degree(self) -> int:
         return len(self.phases)
-
-    def __mul__(self, other):
-        if not isinstance(other, MonomialBMatrix):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        s1 = self.perm.images
-        d2 = other.phases
-        phases = []
-        for r, (a1, b1) in enumerate(self.phases):
-            a2, b2 = d2[s1[r]]
-            a = (a1 + (a2 if b1 == 0 else -a2)) % 3
-            phases.append((a, (b1 + b2) % 2))
-        return MonomialBMatrix(tuple(phases), self.perm * other.perm)
-
-    def inverse(self) -> "MonomialBMatrix":
-        inv = self.perm.inverse()  # w^a inverts to w^-a; w^a B is an involution
-        phases = map(self.phases.__getitem__, inv.images)
-        return MonomialBMatrix(tuple((a if b else -a, b) for a, b in phases), inv)
 
     def to_matrix(self) -> ExactMatrix:
         n = self.degree
@@ -179,9 +173,6 @@ class MonomialBMatrix:
             a, b = self.phases[i]
             entries[i * n + img[i]] = SplitQuaternion.unit(a, b)
         return ExactMatrix._raw(n, n, tuple(entries), SplitQuaternion)
-
-    def is_identity(self) -> bool:
-        return all(p == (0, 0) for p in self.phases) and self.perm.is_identity()
 
     def __eq__(self, other):
         if not isinstance(other, MonomialBMatrix):
@@ -203,3 +194,15 @@ class MonomialBMatrix:
 
     def __repr__(self):
         return f"<MonomialBMatrix {self}>"
+
+
+def b_pair_perm36(a: MonomialBMatrix, b: MonomialBMatrix) -> Permutation:
+    """The pair's faithful 36-point image: a on points 0..17 and b on 18..35,
+    each by the unit law in MonomialBMatrix's docstring.  It is injective and
+    multiplicative, like XElement's image of (P, Q, eps)."""
+    if a.degree != 6 or b.degree != 6:
+        raise ValueError("the 36-point image needs two degree-6 components")
+    return Permutation._raw(bytes(
+        base + 6 * ((-(c + x) if y else c + x) % 3) + s
+        for base, m in ((0, a), (18, b)) for c in range(3)
+        for (x, y), s in zip(m.phases, m.perm.images)))

@@ -166,7 +166,9 @@ def test_a09_intertwining_theorem():
         for _ in range(10):
             g = g * rng.choice(letters)
             h = h * rng.choice(letters)
-        ok = ok and b_rep(g * h) == b_rep(g) * b_rep(h)
+        rg, rh, rgh = b_rep(g), b_rep(h), b_rep(g * h)
+        ok = ok and rgh.a.to_matrix() == rg.a.to_matrix() @ rh.a.to_matrix()
+        ok = ok and rgh.b.to_matrix() == rg.b.to_matrix() @ rh.b.to_matrix()
         ok = ok and verify_intertwining(g)
     ok = ok and tau2prime().p.pi().cycle_type() == (2, 1, 1, 1, 1)
     ok = ok and tau2prime().q.pi().cycle_type() == (2, 2, 2)

@@ -12,10 +12,17 @@ from hadamard6.brep import (
     verify_theorem,
 )
 from hadamard6.eisenstein import SplitQuaternion
-from hadamard6.groups import BSGS, hom_closure
+from hadamard6.groups import BSGS
 from hadamard6.matrices import ExactMatrix, h6
-from hadamard6.monomial import MonomialBMatrix
+from hadamard6.monomial import MonomialBMatrix, b_pair_perm36
 from hadamard6.perms import Permutation
+
+# (a, r) -> (-a, r) on both halves of the 36 points
+PHI = Permutation([base + 6 * ((3 - a) % 3) + r for base in (0, 18) for a in range(3) for r in range(6)])
+
+
+def encode(rep):
+    return b_pair_perm36(rep.a, rep.b)
 
 
 def stabilizer_word(rng, length=10):
@@ -35,8 +42,9 @@ def test_b_rep_of_tau1_has_no_beta():
 
 def test_b_rep_of_identity():
     rep = b_rep(XElement.identity())
-    assert rep.a == MonomialBMatrix.identity(6)
-    assert rep.b == MonomialBMatrix.identity(6)
+    e = MonomialBMatrix(((0, 0),) * 6, Permutation.identity(6))
+    assert rep.a == e
+    assert rep.b == e
 
 
 def test_b_rep_of_tau2_star_entry_pattern():
@@ -57,10 +65,25 @@ def test_b_rep_rejects_non_stabilizer_elements():
 
 
 def test_b_rep_is_multiplicative():
+    # against the split-quaternion matrices, independently of the encoding
     rng = random.Random(200)
     for _ in range(50):
         g, h = stabilizer_word(rng, 6), stabilizer_word(rng, 6)
-        assert b_rep(g * h) == b_rep(g) * b_rep(h)
+        rg, rh, rgh = b_rep(g), b_rep(h), b_rep(g * h)
+        assert rgh.a.to_matrix() == rg.a.to_matrix() @ rh.a.to_matrix()
+        assert rgh.b.to_matrix() == rg.b.to_matrix() @ rh.b.to_matrix()
+
+
+def test_encoding_of_the_formula_is_phi_conjugation_on_all_of_x():
+    # random words over tau1, tau2 and *, so outside the stabilizer too
+    assert brep._PHI == PHI
+    rng = random.Random(201)
+    letters = [tau1(), tau2(), star()]
+    for _ in range(200):
+        g = XElement.identity()
+        for _ in range(rng.randrange(1, 16)):
+            g = g * rng.choice(letters)
+        assert encode(brep._b_rep_formula(g)) == PHI * g.perm * PHI
 
 
 def test_intertwining_for_generators():
@@ -115,12 +138,12 @@ def _swapped(rep):
 
 @pytest.mark.parametrize("wrong", [_without_beta, _swapped], ids=["without_B", "swapped"])
 def test_brep_homomorphism_clause_fails_on_a_wrong_generator_image(monkeypatch, wrong):
-    # tau2 * gets a wrong image.  Without B, two words for one element get
-    # different images and the closure raises; with the components swapped,
-    # the images still define a homomorphism, but not the formula's one.
+    # tau2 * gets a wrong image, both from b_rep and inside the closure's
+    # check, so its encoding is no longer phi (tau2 *) phi
     t2s = tau2() * star()
-    monkeypatch.setattr(brep, "hom_closure", lambda pairs: hom_closure(
-        [(g, wrong(im) if g == t2s else im) for g, im in pairs]))
+    formula = brep._b_rep_formula
+    monkeypatch.setattr(brep, "_b_rep_formula",
+                        lambda g: wrong(formula(g)) if g == t2s else formula(g))
     by_id = {c.id: c for c in verify_theorem().clauses}
     assert not by_id["brep_homomorphism"].passed
     assert not by_id["intertwining"].passed

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -62,6 +61,20 @@ def test_outer_apply_parse_failure(capsys):
     code, _, err = run(capsys, "outer", "apply", "(1,99)")
     assert code == 2
     assert "error" in err
+
+
+def test_outer_apply_parses_before_building_the_tables(capsys, monkeypatch):
+    # bad input exits 2 without paying for (or tripping over) the S6 tables
+    from hadamard6 import cli
+
+    def build_outer():
+        raise AssertionError("build_outer ran before the cycles were parsed")
+
+    monkeypatch.setattr(cli.outer, "build_outer", build_outer)
+    code, out, err = run(capsys, "outer", "apply", "(1,7)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_outer_table_json(capsys):
@@ -163,13 +176,6 @@ def _src_env(**extra):
     env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
-
-
-def test_export_list_names_every_public_binding():
-    # a name dropped from the imports but not from __all__ (or the reverse)
-    public = {name for name, value in vars(hadamard6).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert sorted(hadamard6.__all__) == sorted(public)
 
 
 def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hadamard6.eisenstein import E_ONE, E_ZERO, OMEGA, SplitQuaternion
+from hadamard6.eisenstein import E_ONE, E_ZERO, OMEGA, SQ_ZERO, SplitQuaternion
 from hadamard6.matrices import ExactMatrix
-from hadamard6.monomial import MonomialBMatrix, MonomialMatrix
+from hadamard6.monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
 from hadamard6.perms import Permutation
 
 
@@ -118,18 +118,34 @@ def test_det():
 # --- B-monomial matrices ---------------------------------------------------
 
 
-def random_bmonomial(rng, n=6):
-    phases = tuple((rng.randrange(3), rng.randrange(2)) for _ in range(n))
-    images = list(range(n))
-    rng.shuffle(images)
-    return MonomialBMatrix(phases, Permutation(tuple(images)))
+I6 = ExactMatrix.identity(6, SplitQuaternion)
+UNITS = {SplitQuaternion.unit(a, b): (a, b) for a in range(3) for b in range(2)}
 
 
-def test_bmatrix_compose_matches_matrix_product():
-    rng = random.Random(6)
-    for _ in range(60):
-        a, b = random_bmonomial(rng), random_bmonomial(rng)
-        assert (a * b).to_matrix() == a.to_matrix() @ b.to_matrix()
+def bmonomial_of(mat):
+    """Read a B-monomial matrix off a split-quaternion matrix that is one."""
+    phases, images = [], []
+    for i in range(6):
+        (j, q), = [(j, mat.entry(i, j)) for j in range(6) if mat.entry(i, j) != SQ_ZERO]
+        phases.append(UNITS[q])
+        images.append(j)
+    return MonomialBMatrix(phases, Permutation(images))
+
+
+def decode_b_pair(perm):
+    """Invert b_pair_perm36: row r's unit is read off the images of the
+    states (0, r) and (1, r), which differ by +1 without B and by -1 with it."""
+    pair = []
+    for base in (0, 18):
+        phases, images = [], []
+        for r in range(6):
+            t0, s = divmod(perm.images[base + r] - base, 6)
+            t1 = (perm.images[base + 6 + r] - base) // 6
+            b = 1 if (t1 - t0) % 3 == 2 else 0
+            phases.append(((-t0 if b else t0) % 3, b))
+            images.append(s)
+        pair.append(MonomialBMatrix(phases, Permutation(images)))
+    return tuple(pair)
 
 
 def test_conjugated_b_matrix_is_an_involution():
@@ -137,22 +153,24 @@ def test_conjugated_b_matrix_is_an_involution():
         tuple((a, 1) for a in (0, 0, 1, 2, 2, 1)),
         Permutation.parse("(1,2)", 6),
     )
-    assert (m * m).is_identity()
-    assert m.to_matrix() @ m.to_matrix() == ExactMatrix.identity(6, SplitQuaternion)
+    e = b_pair_perm36(m, m)
+    assert not e.is_identity() and (e * e).is_identity()
+    assert m.to_matrix() @ m.to_matrix() == I6
 
 
 def test_beta_identity_squares():
     beta_i = MonomialBMatrix.from_monomial(MonomialMatrix.identity(6), with_beta=True)
-    assert (beta_i * beta_i).is_identity()
+    e = b_pair_perm36(beta_i, beta_i)
+    assert not e.is_identity() and (e * e).is_identity()
+    assert beta_i.to_matrix() @ beta_i.to_matrix() == I6
 
 
 def test_bmatrix_identity_law():
-    rng = random.Random(7)
-    e = MonomialBMatrix.identity(6)
-    for _ in range(20):
-        a = random_bmonomial(rng)
-        assert e * a == a
-        assert a * e == a
+    # the identity matrix encodes to the identity permutation, so with the
+    # product law below it is a two-sided identity
+    e = MonomialBMatrix(((0, 0),) * 6, Permutation.identity(6))
+    assert e.to_matrix() == I6
+    assert b_pair_perm36(e, e).is_identity()
 
 
 bmonomial6 = st.builds(
@@ -164,9 +182,40 @@ bmonomial6 = st.builds(
 
 @given(bmonomial6)
 def test_bmatrix_inverse_is_two_sided(m):
-    assert (m * m.inverse()).is_identity()
-    assert (m.inverse() * m).is_identity()
-    assert m.to_matrix() @ m.inverse().to_matrix() == ExactMatrix.identity(6, SplitQuaternion)
+    # the inverse permutation decodes to the inverse matrix on both sides
+    inv, _ = decode_b_pair(b_pair_perm36(m, m).inverse())
+    assert m.to_matrix() @ inv.to_matrix() == I6
+    assert inv.to_matrix() @ m.to_matrix() == I6
+
+
+@given(bmonomial6, bmonomial6)
+def test_b_pair_perm36_round_trip(a, b):
+    # decoding recovers the pair, so the encoding is injective
+    assert decode_b_pair(b_pair_perm36(a, b)) == (a, b)
+
+
+@given(bmonomial6, bmonomial6, bmonomial6, bmonomial6)
+def test_bmatrix_compose_matches_matrix_product(a1, a2, b1, b2):
+    # the encoding of a pair multiplies like the pair's matrices
+    c1 = bmonomial_of(a1.to_matrix() @ b1.to_matrix())
+    c2 = bmonomial_of(a2.to_matrix() @ b2.to_matrix())
+    assert c1.to_matrix() == a1.to_matrix() @ b1.to_matrix()
+    assert b_pair_perm36(a1, a2) * b_pair_perm36(b1, b2) == b_pair_perm36(c1, c2)
+
+
+def test_b_pair_perm36_pins_the_unit_law():
+    # w B sends row state (c, 1) to (-(c + 1), 1^K); here K = (1,2)
+    m = MonomialBMatrix(((1, 1),) + ((0, 0),) * 5, Permutation.parse("(1,2)", 6))
+    e = b_pair_perm36(m, m)
+    assert [e.images[6 * c] for c in range(3)] == [6 * 2 + 1, 6 * 1 + 1, 6 * 0 + 1]
+    assert [e.images[18 + 6 * c + 2] for c in range(3)] == [18 + 2, 18 + 8, 18 + 14]
+
+
+def test_b_pair_perm36_degree_mismatch():
+    m5 = MonomialBMatrix(((0, 0),) * 5, Permutation.identity(5))
+    m6 = MonomialBMatrix(((0, 0),) * 6, Permutation.identity(6))
+    with pytest.raises(ValueError):
+        b_pair_perm36(m5, m6)
 
 
 def test_bmatrix_text():
