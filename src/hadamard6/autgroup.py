@@ -338,7 +338,8 @@ def _phase_act(state: bytes, g: Permutation) -> bytes:
 @cache
 def compute_aut_star() -> Stabilizer:
     """Stabilizer of the Hadamard matrix under X, by orbit enumeration over
-    phase states (see _phase_act) with a transversal of 36-point permutations.
+    phase states (see _phase_act) with a transversal of 36-point image bytes
+    (see orbit_stabilizer), so only the offered candidates are Permutations.
     Every non-identity Schreier generator is tested by a lookup in the set of
     image bytes of all elements of the group generated by the kept ones,
     enumerated again each time one is kept; there is no stop at a known order.
@@ -372,9 +373,10 @@ def compute_aut_star() -> Stabilizer:
 def compute_aut_linear() -> Subgroup:
     """The eps = 0 subgroup of <tau1, tau2 *>, the stabilizer of h6() by prop2:
     Schreier generators of the conjugation flag's 2-state orbit."""
-    flag = orbit_stabilizer((tau1(), tau2() * star()), lambda f, g: (f + g.eps) % 2, 0)
-    gens = tuple(flag.stabilizer_generators)
-    return Subgroup(gens, bsgs_build([g.to_perm36() for g in gens]))
+    flag = orbit_stabilizer((tau1().perm, (tau2() * star()).perm),
+                            lambda f, g: (f + XElement._raw(g).eps) % 2, 0)
+    gens = flag.stabilizer_generators
+    return Subgroup(tuple(map(XElement._raw, gens)), bsgs_build(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ point moved by a generator that fixes the base so far, the search is FIFO
 breadth-first with generators in the order given, and no randomisation is used
 anywhere.
 
-Generic helpers (closure, commutator, orbit_stabilizer, hom_closure) work
-for any immutable group elements supporting ``*``, ``.inverse()`` and
-hashing, not just permutations.
+Generic helpers (closure, commutator, hom_closure) work for any immutable
+group elements supporting ``*``, ``.inverse()`` and hashing; orbit_stabilizer
+takes Permutation generators and keeps its transversal as image bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import mul
 
-from .perms import Permutation
+from .perms import _IDENT, Permutation
 
 
 class BlockSystemError(ValueError):
@@ -52,16 +52,17 @@ _ENUMERATION_CAP = 10**6
 _UNSEEN = object()
 
 
-def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None) -> dict:
+def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None,
+                     compose=mul) -> dict:
     """Breadth-first search of the orbit of the states in labels (a dict
     state -> label, filled in place and returned) under act, with generators
     in the order given.
 
     A state first reached from s by gens[k] gets the label
-    labels[s] * label_gens[k]; without label_gens it gets labels[s].  On any
-    other edge s -> t whose two labels disagree, on_edge(labels[s] *
-    label_gens[k], labels[t]) is called.  Raises ClosureCapError when the
-    orbit exceeds _ENUMERATION_CAP.
+    compose(labels[s], label_gens[k]), by default labels[s] * label_gens[k];
+    without label_gens it gets labels[s].  On any other edge s -> t whose two
+    labels disagree, on_edge(compose(labels[s], label_gens[k]), labels[t]) is
+    called.  Raises ClosureCapError when the orbit exceeds _ENUMERATION_CAP.
     """
     steps = list(zip(gens, label_gens or gens))
     queue = deque(labels)
@@ -71,7 +72,7 @@ def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None) -> 
         for g, lg in steps:
             t = act(s, g)
             lt = labels.get(t, _UNSEEN)
-            lsg = ls if label_gens is None else ls * lg
+            lsg = ls if label_gens is None else compose(ls, lg)
             if lt is _UNSEEN:
                 if len(labels) >= _ENUMERATION_CAP:
                     raise ClosureCapError(f"orbit exceeded cap {_ENUMERATION_CAP}")
@@ -224,9 +225,12 @@ class OrbitStabilizer:
 
 
 def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
-    """Orbit of seed under <gens> acting on hashable states, with Schreier
-    generators u_s * g * u_{s.g}^-1 for the stabilizer, found by
-    _schreier_search with the transversal u as labels.
+    """Orbit of seed under the permutation group <gens> acting on hashable
+    states, with Schreier generators u_s * g * u_{s.g}^-1 for the stabilizer,
+    found by _schreier_search with the transversal u as labels.  A label is
+    the image bytes of u, so extending it by g is one bytes.translate and a
+    candidate is one maketrans and one translate; only a candidate offered
+    to keep becomes a Permutation.
 
     Identity candidates (u_s * g == u_{s.g}) are skipped before keep sees
     them.  keep(candidate) decides which Schreier generators to retain; the
@@ -241,7 +245,6 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    e = gens[0] * gens[0].inverse()
     for g in gens:
         sg = act(seed, g)
         for h in gens:
@@ -257,14 +260,17 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
             seen.add(candidate)
             return True
 
+    n = gens[0].degree
+    e = _IDENT[:n]
+    tables = [g.images + _IDENT[n:] for g in gens]
     kept = []
 
     def on_edge(usg, ut):
-        candidate = usg * ut.inverse()
+        candidate = Permutation._raw(usg.translate(e.maketrans(ut, e)))
         if keep(candidate):
             kept.append(candidate)
 
-    reps = _schreier_search(gens, act, {seed: e}, on_edge, gens)
+    reps = _schreier_search(gens, act, {seed: e}, on_edge, tables, bytes.translate)
     return OrbitStabilizer(orbit_size=len(reps), stabilizer_generators=kept)
 
 

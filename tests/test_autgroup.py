@@ -333,17 +333,19 @@ def test_kernel_of_18_point_action_contains_trivial_first_components():
 
 
 def test_small_orbits_of_h6():
-    act = lambda H, g: g.act(H)
-    res1 = orbit_stabilizer([tau1()], act, h6())
+    # the search runs on 36-point images; the matrix action reads the
+    # element back off each one
+    act = lambda H, g: XElement._raw(g).act(H)
+    res1 = orbit_stabilizer([tau1().perm], act, h6())
     assert res1.orbit_size == 1
     # Lagrange: |orbit| * |stabilizer| = |group|
-    stab1 = bsgs_build([g.to_perm36() for g in res1.stabilizer_generators], degree=36)
+    stab1 = bsgs_build(res1.stabilizer_generators, degree=36)
     group1 = bsgs_build([tau1().to_perm36()])
     assert res1.orbit_size * stab1.order() == group1.order()
 
-    res2 = orbit_stabilizer([star()], act, h6())
+    res2 = orbit_stabilizer([star().perm], act, h6())
     assert res2.orbit_size == 2
-    stab2 = bsgs_build([g.to_perm36() for g in res2.stabilizer_generators], degree=36)
+    stab2 = bsgs_build(res2.stabilizer_generators, degree=36)
     assert res2.orbit_size * stab2.order() == 2
 
 
@@ -423,6 +425,30 @@ def test_orbit_search_tests_every_schreier_generator(monkeypatch):
     assert len(verdicts) == 50_627
     assert verdicts.count(True) == 2
     assert aut.orbit_size == 39_366
+
+
+def test_orbit_search_makes_no_permutation_product_per_edge(monkeypatch):
+    # the transversal is image bytes, so the 118,098 edges of the search make
+    # no Permutation; what remains is the closure and chain of the kept
+    # generators (4,566 products and 84 inverses; 173,292 and 50,712 when
+    # the transversal held Permutations)
+    calls = {"mul": 0, "inverse": 0}
+    mul, inverse = Permutation.__mul__, Permutation.inverse
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counted_inverse(a):
+        calls["inverse"] += 1
+        return inverse(a)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted_mul)
+    monkeypatch.setattr(Permutation, "inverse", counted_inverse)
+    aut = compute_aut_star.__wrapped__()
+    assert aut.orbit_size == 39_366 and aut.order == 2160
+    assert calls["mul"] < 10_000
+    assert calls["inverse"] < 1_000
 
 
 def test_kept_stabilizer_generators_are_pinned():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hadamard6 import groups
-from hadamard6.autgroup import x_generators
+from hadamard6.autgroup import _phase_act, star, tau1, tau2, x_generators
 from hadamard6.groups import (
     ActionConsistencyError,
     BlockSystemError,
@@ -25,6 +25,7 @@ from hadamard6.groups import (
     normal_closure,
     orbit_stabilizer,
 )
+from hadamard6.matrices import H6_PHASES
 from hadamard6.perms import Permutation
 
 
@@ -161,6 +162,58 @@ def test_schreier_search_calls_on_edge_exactly_on_disagreeing_non_tree_edges():
             elif us * g != labels[t]:
                 expected.append((us * g, labels[t]))
     assert expected and edges == expected
+
+
+def _replayed_candidates(gens, act, seed):
+    """The Schreier generators of orbit_stabilizer's search, replayed with
+    Permutation products: labels[s] * g * labels[t]^-1 on every edge that
+    does not first reach t, identity ones skipped, in search order."""
+    labels = {seed: Permutation.identity(gens[0].degree)}
+    reached = [seed]
+    candidates = []
+    for s in reached:
+        for g in gens:
+            t = act(s, g)
+            if t not in labels:
+                labels[t] = labels[s] * g
+                reached.append(t)
+                continue
+            c = labels[s] * g * labels[t].inverse()
+            if not c.is_identity():
+                candidates.append(c)
+    return candidates, len(labels)
+
+
+def _walked_phase_case():
+    # a phase state a short walk away from h6(), under <tau1, tau2 *>, the
+    # stabilizer of h6(), so the orbit is small but not a single state
+    rng = random.Random(17)
+    x = [g.to_perm36() for g in x_generators()]
+    seed = bytes(3 * k + h for k, h in enumerate(h for row in H6_PHASES for h in row))
+    for _ in range(6):
+        seed = _phase_act(seed, rng.choice(x))
+    return [tau1().to_perm36(), (tau2() * star()).to_perm36()], _phase_act, seed
+
+
+@pytest.mark.parametrize("case", ["s5_points", "phase_walk"])
+def test_orbit_stabilizer_offers_the_replayed_schreier_generators(case):
+    if case == "s5_points":
+        gens, act, seed = S5, _point_act, 0
+    else:
+        gens, act, seed = _walked_phase_case()
+    offered = []
+
+    def keep(candidate):
+        offered.append(candidate)
+        return len(offered) % 3 == 1
+
+    result = orbit_stabilizer(gens, act, seed, keep=keep)
+    expected, orbit_size = _replayed_candidates(gens, act, seed)
+    assert result.orbit_size == orbit_size > 1
+    assert expected and offered == expected
+    assert result.stabilizer_generators == offered[::3]
+    assert all(type(g) is Permutation and g.degree == gens[0].degree
+               for g in result.stabilizer_generators)
 
 
 class _TwoPassBSGS(BSGS):
