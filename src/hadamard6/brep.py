@@ -10,16 +10,17 @@ the complex subfield, the intertwining relation
 is verified denominator-free as  H * rep.B * dagger(H) = 6 * rep.A  over the
 exact split quaternions; no inverse is ever formed in the noncommutative ring.
 
-Both clauses hold on all 2160 elements of <tau1, tau2 *> by generator
-induction.  The encoding E = b_pair_perm36 of B-monomial pairs is injective and
-multiplicative, and E(b_rep(g)) = phi g phi for every element g of the
-closure, where phi: (a, r) -> (-a, r) on both halves of the 36 points.
+brep_homomorphism is checked element by element on the 2160 elements of
+<tau1, tau2 *>: the encoding E = b_pair_perm36 of B-monomial pairs is
+injective and multiplicative, and E(b_rep(g)) = phi g phi for every element g
+of the closure, where phi: (a, r) -> (-a, r) on both halves of the 36 points.
 Conjugation by the involution phi is multiplicative, so b_rep(g h) and
 b_rep(g) b_rep(h) have one image under E and are equal: b_rep is a
-homomorphism.  Then H B' dagger(H) / 6 and A' are both multiplicative
-(dagger(H) H = 6I) and agree on the generators.  The closure's elements are
-words in tau1 and tau2 *, so they are members by construction and go through
-b_rep's formula without a membership test.
+homomorphism.  Only intertwining is proved by generator induction: H B'
+dagger(H) / 6 and A' are both multiplicative (dagger(H) H = 6I) and agree on
+the generators.  The closure's elements are words in tau1 and tau2 *, so they
+are members by construction and go through b_rep's formula without a
+membership test.
 """
 
 from __future__ import annotations

@@ -8,14 +8,15 @@ Every orbit search is one breadth-first search, _schreier_search, over a
 Schreier graph: closure, hom_closure, orbit_stabilizer, the Schreier-Sims
 transversals and the conjugacy classes of is_simple_small each call it once.
 
-Everything is deterministic: base points are taken greedily as the smallest
-point moved by a generator that fixes the base so far, the search is FIFO
-breadth-first with generators in the order given, and no randomisation is used
-anywhere.
+Everything is deterministic: a chain grows one generator at a time through
+BSGS.add, each new base point is the smallest point moved by the sifted
+residue that extends the chain, the search is FIFO breadth-first with
+generators in the order given, and no randomisation is used anywhere.
 
-Generic helpers (closure, commutator, hom_closure) work for any immutable
-group elements supporting ``*``, ``.inverse()`` and hashing; orbit_stabilizer
-takes Permutation generators and keeps its transversal as image bytes.
+Only closure and commutator (with conjugate), and the domain of hom_closure,
+take any immutable group elements supporting ``*``, ``.inverse()`` and
+hashing.  Elsewhere the elements are Permutations, a search labels its states
+with image bytes, and a * b^-1 on image bytes is computed in one place, _div.
 """
 
 from __future__ import annotations
@@ -44,35 +45,35 @@ class ClosureCapError(ValueError):
 
 
 # Largest orbit _schreier_search will enumerate, and so the cap of closure,
-# hom_closure and (since it shares the search; it had no cap before)
-# orbit_stabilizer.  is_simple_small (on prop2's order-360 quotient), the
-# orbit search in autgroup.compute_aut_star and the closures it runs, and
-# both S6 tables in outer go through them.
+# hom_closure and orbit_stabilizer.  is_simple_small (on prop2's order-360
+# quotient), the orbit search in autgroup.compute_aut_star and the closures
+# it runs, and both S6 tables in outer go through them.
 _ENUMERATION_CAP = 10**6
 _UNSEEN = object()
 
 
-def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None,
-                     compose=mul) -> dict:
+def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None) -> dict:
     """Breadth-first search of the orbit of the states in labels (a dict
     state -> label, filled in place and returned) under act, with generators
     in the order given.
 
-    A state first reached from s by gens[k] gets the label
-    compose(labels[s], label_gens[k]), by default labels[s] * label_gens[k];
-    without label_gens it gets labels[s].  On any other edge s -> t whose two
-    labels disagree, on_edge(compose(labels[s], label_gens[k]), labels[t]) is
-    called.  Raises ClosureCapError when the orbit exceeds _ENUMERATION_CAP.
+    With label_gens, Permutations of the labels' degree, a label is image
+    bytes: a state first reached from s by gens[k] gets the image bytes of
+    labels[s] * label_gens[k], one translate through label_gens[k]'s 256-byte
+    table; without label_gens it gets labels[s].  On any other edge s -> t
+    whose two labels disagree, on_edge(that product, labels[t]) is called.
+    Raises ClosureCapError when the orbit exceeds _ENUMERATION_CAP.
     """
-    steps = list(zip(gens, label_gens or gens))
+    tables = [h.images + _IDENT[len(h.images):] for h in label_gens or ()]
+    steps = list(zip(gens, tables or gens))
     queue = deque(labels)
     while queue:
         s = queue.popleft()
         ls = labels[s]
-        for g, lg in steps:
+        for g, tg in steps:
             t = act(s, g)
             lt = labels.get(t, _UNSEEN)
-            lsg = ls if label_gens is None else compose(ls, lg)
+            lsg = ls if label_gens is None else ls.translate(tg)
             if lt is _UNSEEN:
                 if len(labels) >= _ENUMERATION_CAP:
                     raise ClosureCapError(f"orbit exceeded cap {_ENUMERATION_CAP}")
@@ -111,70 +112,73 @@ def _point_act(p: int, g: Permutation) -> int:
     return g.images[p]
 
 
+def _div(a: bytes, b: bytes) -> bytes:
+    """a * b^-1 on image bytes of one degree, through b^-1's 256-byte table."""
+    e = _IDENT[:len(b)]
+    return a.translate(e.maketrans(b, e))
+
+
+def _schreier_transversal(gens, act, seed, keep) -> tuple[dict, list]:
+    """Transversal {s: image bytes of u_s} of seed's orbit under the
+    Permutations gens, by _schreier_search, and the Schreier generators kept:
+    each non-identity u_s * g * u_{s.g}^-1 goes to keep as a Permutation, in
+    search order, and is kept when keep returns True."""
+    kept = []
+
+    def on_edge(usg, ut):
+        candidate = Permutation._raw(_div(usg, ut))
+        if keep(candidate):
+            kept.append(candidate)
+
+    return _schreier_search(gens, act, {seed: _IDENT[:gens[0].degree]}, on_edge, gens), kept
+
+
 class BSGS:
     """Base and strong generating set built by deterministic Schreier-Sims.
 
-    Strong generators are kept per level: level i generates the pointwise
-    stabilizer of base[:i], and the product of the fundamental orbit sizes is
-    the group order.  Schreier generators that sift to the identity are
-    discarded; the others extend the chain (classical deterministic variant,
-    no randomisation).
+    The chain starts empty and grows by add, one generator at a time.  Level
+    i's strong generators generate the pointwise stabilizer of base[:i], and
+    transversal i maps each point of the orbit of base[i] to the image bytes
+    of its transversal element; the product of the orbit sizes is the group
+    order.  Schreier generators that sift to the identity are discarded; the
+    others extend the chain (classical deterministic variant, no randomisation).
     """
 
     def __init__(self, generators, degree: int | None = None):
-        gens = []
-        for g in generators:
-            if degree is None:
-                degree = g.degree
-            elif g.degree != degree:
-                raise ValueError("degree mismatch among generators")
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
+        generators = list(generators)
         if degree is None:
-            raise ValueError("need at least one generator or an explicit degree")
+            if not generators:
+                raise ValueError("need at least one generator or an explicit degree")
+            degree = generators[0].degree
         self.degree = degree
-
         self.base: list[int] = []
-        for g in gens:
-            if all(g.apply(p) == p for p in self.base):
-                self.base.append(g.min_moved())
-
-        self._level_gens: list[list[Permutation]] = [
-            [g for g in gens if all(g.apply(p) == p for p in self.base[:i])]
-            for i in range(len(self.base))
-        ]
-        self._transversals: list[dict[int, Permutation] | None] = [None] * len(self.base)
-        if not self.base:
-            return
-        for i in reversed(range(len(self.base))):
-            self._schreier_sims(i)
+        self._level_gens: list[list[Permutation]] = []
+        self._transversals: list[dict[int, bytes] | None] = []
+        for g in generators:
+            self.add(g)
 
     def _strip(self, g: Permutation, start: int) -> tuple[Permutation, int]:
+        img = g.images
         for j in range(start, len(self.base)):
-            p = g.apply(self.base[j])
-            T = self._transversals[j]
-            if p not in T:
-                return g, j
-            g = g * T[p].inverse()
-        return g, len(self.base)
+            u = self._transversals[j].get(img[self.base[j]])
+            if u is None:
+                return Permutation._raw(img), j
+            img = _div(img, u)
+        return Permutation._raw(img), len(self.base)
 
     def _schreier_sims(self, i: int) -> None:
         # Precondition: levels > i are complete.  Postcondition: levels >= i are.
         # One search builds transversal i and adds each non-identity Schreier
-        # generator u_p * g * u_{p^g}^-1 as its edge is found; add touches
-        # only levels > i.
-        T = self._transversals[i] = {self.base[i]: Permutation.identity(self.degree)}
-        gens = list(self._level_gens[i])
-
-        def on_edge(upg, uq):
-            self.add(upg * uq.inverse(), i)
-
-        _schreier_search(gens, _point_act, T, on_edge, gens)
+        # generator as its edge is found; add touches only levels > i.
+        self._transversals[i], _ = _schreier_transversal(
+            self._level_gens[i], _point_act, self.base[i], lambda c: self.add(c, i))
 
     def add(self, g: Permutation, i: int = -1) -> bool:
         """Extend the chain by g, which must fix base[:i+1]; False if g is
         already a member.  Precondition: levels > i are complete, and they
         are again on return."""
+        if g.degree != self.degree:
+            raise ValueError("degree mismatch among generators")
         h, j = self._strip(g, i + 1)
         if h.is_identity():
             return False
@@ -227,10 +231,9 @@ class OrbitStabilizer:
 def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
     """Orbit of seed under the permutation group <gens> acting on hashable
     states, with Schreier generators u_s * g * u_{s.g}^-1 for the stabilizer,
-    found by _schreier_search with the transversal u as labels.  A label is
-    the image bytes of u, so extending it by g is one bytes.translate and a
-    candidate is one maketrans and one translate; only a candidate offered
-    to keep becomes a Permutation.
+    from _schreier_transversal, the search Schreier-Sims also runs: the
+    transversal is image bytes, and only a candidate offered to keep becomes
+    a Permutation.
 
     Identity candidates (u_s * g == u_{s.g}) are skipped before keep sees
     them.  keep(candidate) decides which Schreier generators to retain; the
@@ -260,17 +263,7 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
             seen.add(candidate)
             return True
 
-    n = gens[0].degree
-    e = _IDENT[:n]
-    tables = [g.images + _IDENT[n:] for g in gens]
-    kept = []
-
-    def on_edge(usg, ut):
-        candidate = Permutation._raw(usg.translate(e.maketrans(ut, e)))
-        if keep(candidate):
-            kept.append(candidate)
-
-    reps = _schreier_search(gens, act, {seed: e}, on_edge, tables, bytes.translate)
+    reps, kept = _schreier_transversal(gens, act, seed, keep)
     return OrbitStabilizer(orbit_size=len(reps), stabilizer_generators=kept)
 
 
@@ -355,8 +348,9 @@ def action_kernel_order(bsgs: BSGS, block_map) -> int:
 
 def hom_closure(pairs) -> dict:
     """Extend generator pairs (g, image) to the full domain group by
-    _schreier_search over the Cayley graph, with images as labels; returns
-    the table {g: image of g}.
+    _schreier_search over the Cayley graph; returns the table {g: image of g}.
+    The images are Permutations of one degree (ValueError otherwise), and the
+    search labels with their image bytes, wrapped as Permutations at return.
 
     Raises InconsistentImagesError when two words for the same element get
     different images (the data is not a homomorphism), and ClosureCapError
@@ -371,10 +365,13 @@ def hom_closure(pairs) -> dict:
     if not pairs:
         raise ValueError("need at least one generator pair")
     gens, images = zip(*pairs)
+    n = images[0].degree
+    if any(im.degree != n for im in images):
+        raise ValueError("degree mismatch among images")
     e_dom = gens[0] * gens[0].inverse()
-    e_img = images[0] * images[0].inverse()
 
     def on_edge(hi, prev):
         raise InconsistentImagesError("generator images are not a homomorphism")
 
-    return _schreier_search(gens, mul, {e_dom: e_img}, on_edge, images)
+    table = _schreier_search(gens, mul, {e_dom: _IDENT[:n]}, on_edge, images)
+    return {g: Permutation._raw(img) for g, img in table.items()}

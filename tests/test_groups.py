@@ -26,7 +26,7 @@ from hadamard6.groups import (
     orbit_stabilizer,
 )
 from hadamard6.matrices import H6_PHASES
-from hadamard6.perms import Permutation
+from hadamard6.perms import _IDENT, Permutation
 
 
 def brute_force_order(gens):
@@ -56,7 +56,22 @@ def test_bsgs_matches_brute_force_on_random_small_groups():
             gens.append(Permutation(tuple(images)))
         if all(g.is_identity() for g in gens):
             continue
-        assert bsgs_build(gens).order() == brute_force_order(gens)
+        chain, members = bsgs_build(gens), set(closure(gens))
+        assert chain.order() == len(members)
+        # every non-member is sifted until some level's transversal misses it
+        for images in iter_permutations(range(n)):
+            g = Permutation(images)
+            assert chain.contains(g) == (g in members)
+
+
+def test_bsgs_rejects_a_generator_of_another_degree():
+    three, four = Permutation.parse("(1,2,3)", 3), Permutation.parse("(1,2,3,4)", 4)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        BSGS([three, four])
+    with pytest.raises(ValueError, match="degree mismatch"):
+        BSGS([four], degree=5)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        BSGS([three]).add(four)
 
 
 def test_membership():
@@ -139,28 +154,29 @@ def test_orbit_stabilizer_cap(monkeypatch):
 
 
 def test_schreier_search_labels_form_a_transversal():
-    labels = groups._schreier_search(S5, _point_act, {0: Permutation.identity(5)},
-                                     label_gens=S5)
+    labels = groups._schreier_search(S5, _point_act, {0: _IDENT[:5]}, label_gens=S5)
     assert sorted(labels) == list(range(5))
     for t, u in labels.items():
-        assert _point_act(0, u) == t
+        assert _point_act(0, Permutation._raw(u)) == t
 
 
 def test_schreier_search_calls_on_edge_exactly_on_disagreeing_non_tree_edges():
     edges = []
-    labels = groups._schreier_search(S5, _point_act, {0: Permutation.identity(5)},
+    labels = groups._schreier_search(S5, _point_act, {0: _IDENT[:5]},
                                      lambda usg, ut: edges.append((usg, ut)), S5)
-    # replay the search: the first edge to reach a state is its tree edge
+    # replay the search with Permutation products: the first edge to reach a
+    # state is its tree edge
     reached = {0}
     expected = []
     for s, us in labels.items():
         for g in S5:
             t = _point_act(s, g)
+            usg = (Permutation._raw(us) * g).images
             if t not in reached:
                 reached.add(t)
-                assert labels[t] == us * g
-            elif us * g != labels[t]:
-                expected.append((us * g, labels[t]))
+                assert labels[t] == usg
+            elif usg != labels[t]:
+                expected.append((usg, labels[t]))
     assert expected and edges == expected
 
 
@@ -217,24 +233,24 @@ def test_orbit_stabilizer_offers_the_replayed_schreier_generators(case):
 
 
 class _TwoPassBSGS(BSGS):
-    """Schreier-Sims as two passes: rebuild transversal i, then add every
-    non-identity Schreier generator of level i."""
+    """Schreier-Sims as two passes, with Permutation products: rebuild
+    transversal i, then add every non-identity Schreier generator of level i."""
 
     def _schreier_sims(self, i):
         b = self.base[i]
-        T = {b: Permutation.identity(self.degree)}
+        T = {b: _IDENT[:self.degree]}
         reached = [b]
         gens = list(self._level_gens[i])
         for p in reached:
             for g in gens:
                 q = g.apply(p)
                 if q not in T:
-                    T[q] = T[p] * g
+                    T[q] = (Permutation._raw(T[p]) * g).images
                     reached.append(q)
         self._transversals[i] = T
         for p in list(T):
             for g in gens:
-                sg = T[p] * g * T[g.apply(p)].inverse()
+                sg = Permutation._raw(T[p]) * g * Permutation._raw(T[g.apply(p)]).inverse()
                 if not sg.is_identity():
                     self.add(sg, i)
 
@@ -250,6 +266,29 @@ def test_one_pass_schreier_sims_matches_the_two_pass_chain(name):
     assert new.strong_generators() == old.strong_generators()
     assert new._transversals == old._transversals
     assert [list(T) for T in new._transversals] == [list(T) for T in old._transversals]
+
+
+def test_bsgs_on_x_makes_no_permutation_product_or_inverse(monkeypatch):
+    counts = {"mul": 0, "inverse": 0}
+    mul, inverse = Permutation.__mul__, Permutation.inverse
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_inverse(a):
+        counts["inverse"] += 1
+        return inverse(a)
+
+    gens = [g.perm for g in x_generators()]
+    member = gens[0] * gens[1] * gens[2]
+    monkeypatch.setattr(Permutation, "__mul__", counted_mul)
+    monkeypatch.setattr(Permutation, "inverse", counted_inverse)
+    chain = BSGS(gens)
+    assert chain.order() == 85_030_560
+    assert counts == {"mul": 0, "inverse": 0}
+    assert chain.contains(member)
+    assert counts == {"mul": 0, "inverse": 0}
 
 
 def test_the_only_queues_are_the_shared_search_and_the_normal_closure_worklist():
@@ -273,7 +312,7 @@ def _reference_sift(chain, g):
         T = chain._transversals[j]
         if p not in T:
             return g
-        g = g * T[p].inverse()
+        g = g * Permutation._raw(T[p]).inverse()
     return g
 
 
@@ -408,6 +447,12 @@ def test_hom_closure_rejects_two_images_for_one_generator():
     a = Permutation.parse("(1,2,3)", 3)
     with pytest.raises(InconsistentImagesError):
         hom_closure([(a, a), (a, Permutation.identity(3))])
+
+
+def test_hom_closure_rejects_images_of_mixed_degree():
+    a, b = Permutation.parse("(1,2,3)", 3), Permutation.parse("(1,2)", 3)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        hom_closure([(a, a), (b, Permutation.parse("(1,2)", 4))])
 
 
 def test_hom_closure_rejects_non_homomorphism_on_a_large_domain():
