@@ -389,7 +389,7 @@ def m_vectors() -> list[tuple[int, ...]]:
 
 
 class _GF3(int):
-    """An integer mod 3 as a field element for row_basis."""
+    """An integer mod 3 for row_basis, which needs only -, * and bool."""
 
     def __new__(cls, x):
         return super().__new__(cls, x % 3)
@@ -399,9 +399,6 @@ class _GF3(int):
 
     def __mul__(self, other):
         return _GF3(int(self) * other)
-
-    def inverse(self) -> "_GF3":
-        return self  # 1 * 1 = 2 * 2 = 1 mod 3
 
 
 def _gf3_span_size(vectors) -> int:

@@ -8,7 +8,7 @@ the complex subfield, the intertwining relation
     H * rep.B * H^-1 = rep.A
 
 is verified denominator-free as  H * rep.B * dagger(H) = 6 * rep.A  over the
-exact split quaternions; no inverse is ever formed in the noncommutative ring.
+exact split quaternions; no number is inverted anywhere.
 
 brep_homomorphism is checked element by element on the 2160 elements of
 <tau1, tau2 *>: the encoding E = b_pair_perm36 of B-monomial pairs is

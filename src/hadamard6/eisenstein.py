@@ -1,21 +1,19 @@
-"""Exact arithmetic in Q(w), w a primitive complex cube root of unity, and in
-the split-quaternion elements z + v*B with z, v in Q(w).
+"""Exact arithmetic in the Eisenstein integers Z[w], w a primitive complex cube
+root of unity, and in the split-quaternion elements z + v*B with z, v in Z[w].
 
 The defining relations are
 
     w^2 = -1 - w          (so w^3 = 1 and 1 + w + w^2 = 0)
-    B^2 = 1,  B*u = conj(u)*B   for every u in Q(w)
+    B^2 = 1,  B*u = conj(u)*B   for every u in Z[w]
 
 from which the multiplication law of the B-extension follows once and is
 frozen in the unit tests:
 
     (z1 + v1*B)(z2 + v2*B) = (z1*z2 + v1*conj(v2)) + (z1*v2 + v1*conj(z2))*B
 
-Values are immutable and hashable.  In canonical form each component is an
-exact int when it is integral and otherwise a Fraction in lowest terms (never
-one with denominator 1), so integral arithmetic stays on machine integers and
-only inverse() divides.  A value with zero w-part (or B-part) equals and
-hashes like its rational (or complex) part.
+Values are immutable and hashable.  Both components are exact ints: every
+value the verifier needs lies in Z[w], and nothing here divides.  A value with
+zero w-part (or B-part) equals and hashes like its integer (or complex) part.
 
 Printing puts B on the right: the element obtained by multiplying B by w on the
 right prints as it is stored, while "B then w" in left-to-right reading order
@@ -24,28 +22,22 @@ equals w2*B here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
-_RAT = (int, Fraction)
-
-
-def _rational(x):
-    """x in canonical form: int if integral, else a reduced Fraction."""
+def _integer(x) -> int:
+    """x as an exact int (a bool becomes one); anything else is rejected."""
     if isinstance(x, int):
         return int(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError("components must be int or Fraction")
+    raise TypeError("components must be int")
 
 
 class EisensteinRational:
-    """a + b*w with rational a, b."""
+    """a + b*w with integer a, b."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = a if type(a) is int else _rational(a)
-        self.b = b if type(b) is int else _rational(b)
+        self.a = a if type(a) is int else _integer(a)
+        self.b = b if type(b) is int else _integer(b)
 
     @classmethod
     def zero(cls) -> "EisensteinRational":
@@ -85,27 +77,9 @@ class EisensteinRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self) -> "EisensteinRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        # Fraction, not /: int / int would be a float
-        return EisensteinRational(Fraction(self.a - self.b, n), Fraction(-self.b, n))
-
     def conj(self) -> "EisensteinRational":
         """Complex conjugation, w -> w^2."""
         return EisensteinRational(self.a - self.b, -self.b)
-
-    def norm(self) -> int | Fraction:
-        """x * conj(x) as a rational: an int when both components are ints;
-        zero only for x = 0."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
 
     def times_omega_pow(self, k: int) -> "EisensteinRational":
         k %= 3
@@ -126,7 +100,7 @@ class EisensteinRational:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        # equal to a rational number -> hash like it (eq/hash contract)
+        # equal to an integer -> hash like it (eq/hash contract)
         return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __repr__(self):
@@ -151,7 +125,7 @@ class EisensteinRational:
 def _coerce(x):
     if isinstance(x, EisensteinRational):
         return x
-    if isinstance(x, _RAT):
+    if isinstance(x, int):
         return EisensteinRational(x)
     return NotImplemented
 
@@ -164,7 +138,7 @@ OMEGA_POWERS = (E_ONE, OMEGA, OMEGA2)
 
 
 class SplitQuaternion:
-    """z + v*B with z, v in Q(w); B^2 = 1 and B inverts the complex subfield."""
+    """z + v*B with z, v in Z[w]; B^2 = 1 and B inverts the complex subring."""
 
     __slots__ = ("z", "v")
 
@@ -204,7 +178,7 @@ class SplitQuaternion:
         return SplitQuaternion(self.z - other.z, self.v - other.v)
 
     def __mul__(self, other):
-        if isinstance(other, (EisensteinRational, int, Fraction)):
+        if isinstance(other, (EisensteinRational, int)):
             other = SplitQuaternion(other)
         if not isinstance(other, SplitQuaternion):
             return NotImplemented
@@ -212,7 +186,7 @@ class SplitQuaternion:
         return SplitQuaternion(z1 * z2 + v1 * v2.conj(), z1 * v2 + v1 * z2.conj())
 
     def __rmul__(self, other):
-        if isinstance(other, (EisensteinRational, int, Fraction)):
+        if isinstance(other, (EisensteinRational, int)):
             return SplitQuaternion(other) * self
         return NotImplemented
 
@@ -220,7 +194,7 @@ class SplitQuaternion:
         return bool(self.z) or bool(self.v)
 
     def __eq__(self, other):
-        if isinstance(other, (EisensteinRational, int, Fraction)):
+        if isinstance(other, (EisensteinRational, int)):
             other = SplitQuaternion(other)
         if not isinstance(other, SplitQuaternion):
             return NotImplemented

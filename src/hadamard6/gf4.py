@@ -20,7 +20,6 @@ _MUL = (
     (0, 2, 3, 1),
     (0, 3, 1, 2),
 )
-_INV = (None, 1, 3, 2)
 _NAMES = ("0", "1", "x", "x2")
 
 
@@ -39,11 +38,6 @@ class GF4:
 
     def __mul__(self, other: "GF4") -> "GF4":
         return GF4(_MUL[self.value][other.value])
-
-    def inverse(self) -> "GF4":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return GF4(_INV[self.value])
 
     def __bool__(self):
         return self.value != 0

@@ -1,4 +1,4 @@
-"""Dense matrices over an exact ring (Q(w) or the split quaternions).
+"""Dense matrices over an exact ring (Z[w] or the split quaternions over it).
 
 Matrices are immutable, row-major, and hashable through their canonical
 entry forms; equality is entrywise exact.  Indices are 0-based in code and
@@ -7,7 +7,6 @@ entry forms; equality is entrywise exact.  Indices are 0-based in code and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .eisenstein import OMEGA_POWERS, EisensteinRational, SplitQuaternion
@@ -51,9 +50,6 @@ class ExactMatrix:
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -105,17 +101,12 @@ class ExactMatrix:
         target = ExactMatrix.identity(n).scaled(n)
         return self @ self.dagger() == target
 
-    def scaled(self, c) -> "ExactMatrix":
-        """Scale by a central constant (int or Fraction)."""
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError("scale factor must be int or Fraction")
-        if self.ring is EisensteinRational:
-            s = EisensteinRational(c)
-            out = tuple(e * s for e in self.entries)
-        else:
-            s = EisensteinRational(c)
-            out = tuple(SplitQuaternion(e.z * s, e.v * s) for e in self.entries)
-        return ExactMatrix._raw(self.rows, self.cols, out, self.ring)
+    def scaled(self, c: int) -> "ExactMatrix":
+        """Scale by an integer, which is central in both rings."""
+        if not isinstance(c, int):
+            raise TypeError("scale factor must be int")
+        s = EisensteinRational(c)
+        return ExactMatrix._raw(self.rows, self.cols, tuple(e * s for e in self.entries), self.ring)
 
     def to_split_quaternion(self) -> "ExactMatrix":
         if self.ring is SplitQuaternion:
@@ -151,26 +142,35 @@ class ExactMatrix:
 
 
 def row_basis(rows) -> list[tuple]:
-    """Echelon basis of the row span over any field whose elements support
-    ``-``, ``*``, ``bool`` and ``.inverse()``.
+    """Echelon basis of the row span over an integral domain whose elements
+    support ``-``, ``*`` and ``bool``; nothing is divided.
 
     Rows are taken in order; each is reduced against the basis rows before it
-    and kept, as reduced and not normalised, if anything nonzero is left.
-    The leading positions of the basis rows are therefore distinct, and a
-    basis fed back in as the first rows comes back unchanged.
+    and kept, as reduced, if anything nonzero is left.  Against a basis row b
+    with leading position lead, a row with a nonzero entry c there becomes
+    b[lead] * row - c * b, entry by entry.  b[lead] is nonzero, so this keeps
+    the span over the field of fractions, and with it the rank; over a field
+    it keeps the span itself.  The leading positions of the basis rows are
+    distinct, and a basis fed back in as the first rows comes back unchanged,
+    since such a row is zero at every earlier lead and is never touched.
+
+    Unlike Bareiss's elimination (Math. Comp. 22, 1968) nothing is divided out
+    afterwards, so entries can grow with each cross-multiplication on general
+    input; on commutant_dimension's system over Z[w] no component of a reduced
+    row exceeds 2 in absolute value.
     """
     basis: list[tuple] = []
-    pivots: list[tuple] = []  # (leading position, inverse of the entry there)
+    leads: list[int] = []
     for row in rows:
         row = tuple(row)
-        for b, (lead, inv) in zip(basis, pivots):
-            if row[lead]:
-                f = row[lead] * inv
-                row = tuple(x - f * y for x, y in zip(row, b))
+        for b, lead in zip(basis, leads):
+            c = row[lead]
+            if c:
+                p = b[lead]
+                row = tuple(p * x - c * y for x, y in zip(row, b))
         if any(row):
-            lead = next(i for i, x in enumerate(row) if x)
+            leads.append(next(i for i, x in enumerate(row) if x))
             basis.append(row)
-            pivots.append((lead, row[lead].inverse()))
     return basis
 
 

@@ -243,6 +243,20 @@ def test_theorem_suite_never_runs_the_orbit_search():
     assert proc.stdout.splitlines()[-1] == "0"
 
 
+def test_verify_loads_no_rational_arithmetic():
+    # every value the verifier needs is an Eisenstein integer; a subprocess,
+    # because pytest and hypothesis import fractions into this one
+    code = (
+        "import sys\n"
+        "from hadamard6 import cli\n"
+        "assert cli.main(['verify']) == 0\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_demo_scripts_run():
     # the README advertises both scripts; run them as a user would
     scripts = Path(__file__).resolve().parent.parent / "scripts"

@@ -16,11 +16,8 @@ from hadamard6.eisenstein import (
     SplitQuaternion,
 )
 
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
-eisenstein = st.builds(EisensteinRational, rationals, rationals)
 integers = st.integers(min_value=-50, max_value=50)
-integral = st.builds(EisensteinRational, integers, integers)
-nonzero_eisenstein = eisenstein.filter(bool)
+eisenstein = st.builds(EisensteinRational, integers, integers)
 splitquat = st.builds(SplitQuaternion, eisenstein, eisenstein)
 
 
@@ -59,12 +56,6 @@ def test_field_axioms(x, y, z):
     assert x * y == y * x
 
 
-@given(nonzero_eisenstein)
-def test_inverses(x):
-    assert x * x.inverse() == E_ONE
-    assert x / x == E_ONE
-
-
 @given(eisenstein, eisenstein)
 def test_conj_is_an_automorphism(x, y):
     assert (x * y).conj() == x.conj() * y.conj()
@@ -76,18 +67,11 @@ def test_times_omega_pow_matches_multiplication(x, k):
     assert x.times_omega_pow(k) == x * OMEGA_POWERS[k % 3]
 
 
-def test_norm_is_multiplicative():
-    x = EisensteinRational(Fraction(2, 3), 1)
-    y = EisensteinRational(-1, Fraction(5, 7))
-    assert (x * y).norm() == x.norm() * y.norm()
-
-
 def test_str_forms():
     assert str(E_ZERO) == "0"
     assert str(OMEGA) == "w"
     assert str(OMEGA2) == "-1-w"
     assert str(EisensteinRational(2, 3)) == "2+3*w"
-    assert str(EisensteinRational(Fraction(1, 2), Fraction(-1, 3))) == "1/2-1/3*w"
 
 
 # --- split quaternions -----------------------------------------------------
@@ -149,39 +133,20 @@ def test_splitquat_str():
 # --- canonical form and the eq/hash contract ----------------------------------
 
 
-def _canonical(c):
-    # exactly int, or exactly a reduced Fraction that is not integral
-    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
-
-
-@given(st.one_of(eisenstein, integral), st.one_of(eisenstein, integral),
-       st.integers(min_value=-5, max_value=5))
+@given(eisenstein, eisenstein, st.integers(min_value=-5, max_value=5))
 def test_results_are_in_canonical_form(x, y, k):
     results = [x, x + y, x - y, x * y, -x, x.conj(), x.times_omega_pow(k),
-               x + 1, 2 * x, 1 - x, x * Fraction(1, 2)]
-    if y:
-        results += [x / y, y.inverse()]
+               x + 1, 2 * x, 1 - x]
     for r in results:
-        assert _canonical(r.a) and _canonical(r.b), repr(r)
+        assert type(r.a) is int and type(r.b) is int, repr(r)
 
 
 def test_construction_canonicalises_components():
-    x = EisensteinRational(Fraction(4, 2), Fraction(1, 3))
-    assert type(x.a) is int and x.a == 2
-    assert type(x.b) is Fraction and x.b == Fraction(1, 3)
     t = EisensteinRational(True, False)
     assert type(t.a) is int and type(t.b) is int and t == E_ONE
 
 
-def test_inverse_of_an_integer_is_a_fraction():
-    # int / int would give a float; inverse() must divide exactly
-    half = EisensteinRational(2).inverse()
-    assert half.a == Fraction(1, 2) and type(half.a) is Fraction
-    assert type(half.b) is int and half.b == 0
-    assert type(E_ONE.norm()) is int and type(half.norm()) is Fraction
-
-
-@pytest.mark.parametrize("bad", [1.0, "1", None, 1j])
+@pytest.mark.parametrize("bad", [1.0, "1", None, 1j, Fraction(1, 2)])
 def test_non_rational_components_are_rejected(bad):
     with pytest.raises(TypeError):
         EisensteinRational(bad)
@@ -189,18 +154,15 @@ def test_non_rational_components_are_rejected(bad):
         EisensteinRational(0, bad)
 
 
-@given(rationals)
+@given(integers)
 def test_equal_values_hash_equal_across_routes(q):
     routes = [
         q,
-        Fraction(2 * q.numerator, 2 * q.denominator),
         EisensteinRational(q),
-        EisensteinRational(Fraction(2 * q.numerator, 2 * q.denominator), 0),
+        EisensteinRational(q, 0),
         SplitQuaternion(q),
         SplitQuaternion(EisensteinRational(q), E_ZERO),
     ]
-    if q.denominator == 1:
-        routes += [q.numerator, EisensteinRational(q.numerator)]
     for x in routes:
         for y in routes:
             assert x == y

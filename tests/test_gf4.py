@@ -15,8 +15,6 @@ def test_field_axioms_exhaustively():
     for a in GF4_ALL:
         assert a + GF4_ZERO == a
         assert a * GF4_ONE == a
-        if a:
-            assert a * a.inverse() == GF4_ONE
 
 
 def test_multiplicative_group_of_order_three():
