@@ -434,13 +434,15 @@ def verify_prop1() -> Report:
     clauses: list[Clause] = []
     H = h6()
 
-    mutations_fail = True
-    for i in range(6):
-        for j in range(6):
-            for k in (1, 2):
-                bad = H.with_entry(i, j, H.entry(i, j).times_omega_pow(k))
-                if bad.is_hadamard():
-                    mutations_fail = False
+    # Multiplying entry (i, j) by w^k moves the inner product of row i with
+    # row i - 1 from 0 to (w^k - 1) H_ij conj(H_(i-1)j), so one nonzero sum
+    # refutes each change.  The second row must differ from row i: a row's
+    # product with itself is a sum of squared moduli, nonzero for any matrix.
+    rows = [[H.entry(i, t) for t in range(6)] for i in range(6)]
+    mutations_fail = all(
+        sum(x * y.conj() for x, y in zip(rows[i][:j] + [rows[i][j] * w] + rows[i][j + 1:], rows[i - 1]))
+        for i, j, w in product(range(6), range(6), (OMEGA, OMEGA2))
+    )
     clauses.append(
         check("h6_hadamard", "H dagger(H) = 6I exactly, and no single-entry change survives",
               True, H.is_hadamard() and mutations_fail)

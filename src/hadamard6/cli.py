@@ -2,7 +2,8 @@
 automorphism, and the GF(4) code facts.
 
 Exit codes: 0 all selected checks pass, 1 a verification clause failed,
-2 usage error.  All behavior is flag-driven.  No check samples: --seed is
+2 usage error, 141 (128 + SIGPIPE) stdout closed before the output was
+written.  All behavior is flag-driven.  No check samples: --seed is
 accepted and echoed in the JSON report, and changes nothing else.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import autgroup, brep, gf4, outer
@@ -97,7 +99,7 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _cmd_hexacode() -> int:
+def _cmd_hexacode(args) -> int:
     code = gf4.h6_code()
     doc = {
         "length": code.length,
@@ -116,16 +118,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "outer":
-        return _cmd_outer(args)
-    if args.command == "order":
-        return _cmd_order(args)
-    if args.command == "hexacode":
-        return _cmd_hexacode()
-    parser.print_usage(sys.stderr)
-    return 2
+    commands = {"verify": _cmd_verify, "outer": _cmd_outer, "order": _cmd_order,
+                "hexacode": _cmd_hexacode}
+    try:
+        code = commands[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull so the flush at
+        # exit cannot fail again, and exit as a shell reports SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -81,15 +81,6 @@ class EisensteinRational:
         """Complex conjugation, w -> w^2."""
         return EisensteinRational(self.a - self.b, -self.b)
 
-    def times_omega_pow(self, k: int) -> "EisensteinRational":
-        k %= 3
-        if k == 0:
-            return self
-        a, b = self.a, self.b
-        if k == 1:
-            return EisensteinRational(-b, a - b)
-        return EisensteinRational(b - a, -a)
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 

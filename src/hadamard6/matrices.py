@@ -114,13 +114,6 @@ class ExactMatrix:
         out = tuple(SplitQuaternion.from_complex(e) for e in self.entries)
         return ExactMatrix._raw(self.rows, self.cols, out, SplitQuaternion)
 
-    def with_entry(self, i: int, j: int, value) -> "ExactMatrix":
-        if type(value) is not self.ring:
-            raise ValueError("ring mismatch")
-        e = list(self.entries)
-        e[i * self.cols + j] = value
-        return ExactMatrix._raw(self.rows, self.cols, tuple(e), self.ring)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

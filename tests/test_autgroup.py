@@ -70,7 +70,7 @@ def test_act_matches_generic_matrix_computation():
 
 def test_act_general_path_on_non_unit_entries():
     # a zero entry: the action must not assume every entry is a unit
-    H = h6().with_entry(0, 0, EisensteinRational(0))
+    H = ExactMatrix(6, 6, (EisensteinRational(0),) + h6().entries[1:])
     rng = random.Random(102)
     for _ in range(30):
         g = random_word(rng)
@@ -548,6 +548,21 @@ def test_s6_presentation_fails_for_tau2_in_place_of_tau2prime(monkeypatch):
     y_bsgs()  # cache the true Y before tau2prime is replaced
     monkeypatch.setattr(autgroup, "tau2prime", tau2)
     assert "s6_presentation" in _failed_clauses(verify_prop1())
+
+
+def test_prop1_makes_one_matrix_product(monkeypatch):
+    # H dagger(H) itself; each single-entry change is refuted by an inner
+    # product of two rows, not by a product of changed matrices
+    calls = []
+    matmul = ExactMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    assert verify_prop1().passed
+    assert len(calls) == 1
 
 
 def test_y_order_against_brute_force_closure():

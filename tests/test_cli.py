@@ -257,6 +257,23 @@ def test_verify_loads_no_rational_arithmetic():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [["verify", "--only", "codes"], ["outer", "table"],
+                                  ["hexacode"], ["order", "--group", "Y"]],
+                         ids=" ".join)
+def test_closed_stdout_exits_141_quietly(argv):
+    # a reader that went away (`hadamard6 outer table | head -1`) is neither a
+    # failed clause nor a traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hadamard6.cli", *argv],
+                              env=_src_env(), stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def test_demo_scripts_run():
     # the README advertises both scripts; run them as a user would
     scripts = Path(__file__).resolve().parent.parent / "scripts"

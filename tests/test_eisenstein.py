@@ -10,7 +10,6 @@ from hadamard6.eisenstein import (
     E_ZERO,
     OMEGA,
     OMEGA2,
-    OMEGA_POWERS,
     SQ_ONE,
     EisensteinRational,
     SplitQuaternion,
@@ -60,11 +59,6 @@ def test_field_axioms(x, y, z):
 def test_conj_is_an_automorphism(x, y):
     assert (x * y).conj() == x.conj() * y.conj()
     assert (x + y).conj() == x.conj() + y.conj()
-
-
-@given(eisenstein, st.integers(min_value=-5, max_value=5))
-def test_times_omega_pow_matches_multiplication(x, k):
-    assert x.times_omega_pow(k) == x * OMEGA_POWERS[k % 3]
 
 
 def test_str_forms():
@@ -133,10 +127,9 @@ def test_splitquat_str():
 # --- canonical form and the eq/hash contract ----------------------------------
 
 
-@given(eisenstein, eisenstein, st.integers(min_value=-5, max_value=5))
-def test_results_are_in_canonical_form(x, y, k):
-    results = [x, x + y, x - y, x * y, -x, x.conj(), x.times_omega_pow(k),
-               x + 1, 2 * x, 1 - x]
+@given(eisenstein, eisenstein)
+def test_results_are_in_canonical_form(x, y):
+    results = [x, x + y, x - y, x * y, -x, x.conj(), x + 1, 2 * x, 1 - x]
     for r in results:
         assert type(r.a) is int and type(r.b) is int, repr(r)
 

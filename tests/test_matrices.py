@@ -12,6 +12,7 @@ from hadamard6.eisenstein import (
     E_ZERO,
     OMEGA,
     OMEGA2,
+    OMEGA_POWERS,
     EisensteinRational,
     SplitQuaternion,
 )
@@ -105,17 +106,25 @@ def test_is_hadamard_true_and_false():
     assert not ones.is_hadamard()
 
 
+def _changed(H, i, j, value):
+    """H with entry (i, j) replaced, built through the checked constructor."""
+    entries = list(H.entries)
+    entries[i * H.cols + j] = value
+    return ExactMatrix(H.rows, H.cols, entries)
+
+
 def test_is_hadamard_fails_for_every_single_entry_mutation():
+    # the full product check is the reference for verify_prop1's certificates
     H = h6()
     for i in range(6):
         for j in range(6):
             for k in (1, 2):
-                mutated = H.with_entry(i, j, H.entry(i, j).times_omega_pow(k))
+                mutated = _changed(H, i, j, H.entry(i, j) * OMEGA_POWERS[k])
                 assert not mutated.is_hadamard()
 
 
 def test_is_hadamard_reports_non_unimodular_entry_distinctly():
-    bad = h6().with_entry(0, 0, EisensteinRational(2))
+    bad = _changed(h6(), 0, 0, EisensteinRational(2))
     with pytest.raises(NonUnimodularEntryError):
         bad.is_hadamard()
 
@@ -135,7 +144,7 @@ def test_hash_and_canonical_bytes():
     H = h6()
     same = ExactMatrix(6, 6, list(H.entries))
     assert H == same and hash(H) == hash(same)
-    other = H.with_entry(0, 0, OMEGA)
+    other = _changed(H, 0, 0, OMEGA)
     assert H != other
 
 
