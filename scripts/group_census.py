@@ -33,7 +33,8 @@ def main():
         print(f"{name:<{width}}  {order:>12,}")
     print(f"\norbit of H under X: {aut.orbit_size:,} matrices")
     print(f"orbit * stabilizer = {aut.orbit_size * aut.order:,} = |X|")
-    print(f"\nstabilizer generators found by the orbit search:")
+    print("\nstabilizer generators (lifted Schreier generators of the orbit on")
+    print("cosets of N's translations, then the kernel of N on matrices):")
     for g in aut.generators:
         print(f"  {g}")
     print(f"\ntotal time {time.perf_counter() - t0:.1f}s")

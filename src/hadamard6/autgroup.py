@@ -30,14 +30,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .eisenstein import E_ONE, OMEGA, OMEGA2, EisensteinRational
 from .groups import (
     BSGS,
     action_kernel_order,
     bsgs_build,
-    closure,
     commutator,
     conjugate,
     derived_subgroup,
@@ -335,38 +334,115 @@ def _phase_act(state: bytes, g: Permutation) -> bytes:
     return moved if gather is None else bytes(gather(moved))
 
 
+def _reduce(v: tuple, basis) -> tuple:
+    """v reduced mod 3 against echelon rows b in order: each step subtracts
+    v[lead] * b[lead] * b, which clears v[lead] since b[lead]^2 = 1 in GF(3),
+    so v is never rescaled and what is left is v minus a member of the span."""
+    for b in basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        c = v[lead] * b[lead]
+        if c:
+            v = tuple((x - c * y) % 3 for x, y in zip(v, b))
+    return v
+
+
+_ZERO_STATE = bytes(range(0, 108, 3))
+
+
+def _phases(state: bytes, base: bytes = _ZERO_STATE) -> tuple[int, ...]:
+    """The exponent of w by which each entry of state exceeds that of base."""
+    return tuple((x - y) % 3 for x, y in zip(state, base))
+
+
+def _state(phases) -> bytes:
+    return bytes(map(add, _ZERO_STATE, phases))
+
+
+class _VCosets:
+    """The cosets h + V of V, the GF(3) span of the translations t_i by which
+    the generators n_i of N (see n_subgroup) move phase states (see
+    _phase_act): entry k of h^n_i is h_k + t_i[k] mod 3.
+
+    One row_basis of the rows (t_i | e_i) over GF(3) keeps every row a
+    combination sum y_i (t_i | e_i), whose translation part is that of
+    prod n_i^y_i.  The rows with a nonzero translation part are an echelon
+    basis of V; the others give the kernel of N -> V as words."""
+
+    def __init__(self, ns):
+        self.ns = list(ns)
+        m = len(self.ns)
+        self.basis = [tuple(map(int, b)) for b in row_basis(
+            tuple(map(_GF3, _phase_act(_ZERO_STATE, n))) + tuple(_GF3(i == j) for j in range(m))
+            for i, n in enumerate(self.ns))]
+        self.span = [b[:36] for b in self.basis if any(b[:36])]
+        words = (self.word(b[36:]) for b in self.basis if not any(b[:36]))
+        self.kernel = [w for w in words if not w.is_identity()]
+
+    def word(self, y) -> Permutation:
+        n = Permutation.identity(36)
+        for ni, yi in zip(self.ns, y):
+            n = n * ni**yi
+        return n
+
+    def canon(self, state: bytes) -> bytes:
+        """The state naming the coset state + V: state reduced against V's
+        basis, so two states get one name exactly when they differ by V."""
+        return _state(_reduce(_phases(state), self.span))
+
+    def invariant_under(self, g: Permutation) -> bool:
+        """Whether g's linear part, h^g - 0^g, maps V into V."""
+        base = _phase_act(_ZERO_STATE, g)
+        return not any(
+            any(_reduce(_phases(_phase_act(_state(b), g), base), self.span)) for b in self.span)
+
+    def untranslate(self, d) -> Permutation | None:
+        """An n in N with t_n = -d, or None unless d is in V.  Reducing
+        (d | 0) subtracts (sum z_i t_i | z) and leaves (0 | -z) exactly when
+        d = sum z_i t_i, and then y = -z gives n = prod n_i^y_i."""
+        v = _reduce(tuple(d) + (0,) * len(self.ns), self.basis)
+        return None if any(v[:36]) else self.word(v[36:])
+
+
 @cache
 def compute_aut_star() -> Stabilizer:
-    """Stabilizer of the Hadamard matrix under X, by orbit enumeration over
-    phase states (see _phase_act) with a transversal of 36-point image bytes
-    (see orbit_stabilizer), so only the offered candidates are Permutations.
-    Every non-identity Schreier generator is tested by a lookup in the set of
-    image bytes of all elements of the group generated by the kept ones,
-    enumerated again each time one is kept; there is no stop at a known order.
-    The kept generators' BSGS must have the order of that set, and each kept
-    generator must fix h6() under the exact matrix action."""
-    kept: list[Permutation] = []
-    elements: set[bytes] = set()
+    """Stabilizer of the Hadamard matrix under X, through the cosets of V
+    (see _VCosets).
 
-    def keep(candidate: Permutation) -> bool:
-        nonlocal elements
-        if candidate.images in elements:
-            return False
-        kept.append(candidate)
-        elements = {g.images for g in closure(kept)}
-        return True
+    N is normal in X, so X permutes the cosets h + V; each generator's linear
+    part is checked to map V into V.  orbit_stabilizer on the named states of
+    the cosets gives the orbit of h + V and Schreier generators s of
+    Stab(h + V).  Each s is lifted to s * n, where n in N translates by
+    h - h^s; h^s - h must lie in V, and the lift must fix h.
 
+    Let K = <lifts, nontrivial kernel words>.  Every generator of K fixes h,
+    so K <= Stab(h).  N moves h through all of h + V, so Stab(h + V) =
+    Stab(h)N, and each s lies in KN, so KN = Stab(h + V) = Stab(h)N.  The
+    members of N that fix h are the kernel of N -> V, so K meet N contains
+    Stab(h) meet N.  For x in Stab(h) write x = kn with k in K and n in N;
+    then n = k^-1 x lies in Stab(h) meet N, so in K, and x is in K.  Hence
+    K = Stab(h).  The orbit of h has |orbit of h + V| * |V| states, and
+    neither factor is taken from |X|.  Each returned generator must fix h6()
+    under the exact matrix action."""
     H = h6()
-    seed = bytes(3 * k + _UNIT_PHASE[x] for k, x in enumerate(H.entries))
+    seed = _state(_UNIT_PHASE[x] for x in H.entries)
+    cosets = _VCosets(n.perm for n in n_subgroup().generators)
     gens = [g.to_perm36() for g in x_generators()]
-    result = orbit_stabilizer(gens, _phase_act, seed, keep=keep)
-    stab = bsgs_build(kept)
-    if stab.order() != len(elements):
-        raise AssertionError("the stabilizer's chain and its enumeration disagree on its order")
+    if not all(map(cosets.invariant_under, gens)):
+        raise AssertionError("X does not map the translations of N into their span")
+    orbit = orbit_stabilizer(gens, lambda s, g: cosets.canon(_phase_act(s, g)), cosets.canon(seed))
+    kept = []
+    for s in orbit.stabilizer_generators:
+        n = cosets.untranslate(_phases(_phase_act(seed, s), seed))
+        if n is None:
+            raise AssertionError("a Schreier generator moves h6() off its coset")
+        if _phase_act(seed, s * n) != seed:
+            raise AssertionError("a lifted Schreier generator does not fix h6()")
+        kept.append(s * n)
+    kept += cosets.kernel
     generators = tuple(map(XElement._raw, kept))
     if any(g.act(H) != H for g in generators):
-        raise AssertionError("a kept Schreier generator does not fix h6()")
-    return Stabilizer(generators, stab, result.orbit_size)
+        raise AssertionError("a stabilizer generator does not fix h6()")
+    return Stabilizer(generators, bsgs_build(kept), orbit.orbit_size * 3 ** len(cosets.span))
 
 
 @cache

@@ -46,8 +46,8 @@ class ClosureCapError(ValueError):
 
 # Largest orbit _schreier_search will enumerate, and so the cap of closure,
 # hom_closure and orbit_stabilizer.  is_simple_small (on prop2's order-360
-# quotient), the orbit search in autgroup.compute_aut_star and the closures
-# it runs, and both S6 tables in outer go through them.
+# quotient), brep's closure of the 2,160-element stabilizer, both S6 tables
+# in outer and the 2-state orbits of autgroup go through them.
 _ENUMERATION_CAP = 10**6
 _UNSEEN = object()
 
@@ -237,10 +237,10 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
 
     Identity candidates (u_s * g == u_{s.g}) are skipped before keep sees
     them.  keep(candidate) decides which Schreier generators to retain; the
-    default drops duplicates.  Any generator it rejects must already lie in
-    the group generated by the retained ones (the default and the exact
-    membership tests used by callers guarantee this), so the kept set
-    generates the full stabilizer.  The action is spot-checked for
+    default, which every caller in the package uses, drops duplicates.  A
+    custom keep may wrap or count candidates, but any generator it rejects
+    must already lie in the group generated by the retained ones, so the
+    kept set generates the full stabilizer.  The action is spot-checked for
     consistency on generator pairs before the search starts.  Like every
     user of the shared search, it raises ClosureCapError when the orbit
     exceeds _ENUMERATION_CAP.

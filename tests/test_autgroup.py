@@ -406,57 +406,87 @@ def test_phase_action_rejects_permutations_outside_x(cycles, degree):
         _phase_act(byte_state(h6()), Permutation.parse(cycles, degree))
 
 
-def test_orbit_search_tests_every_schreier_generator(monkeypatch):
-    # pins the work of the search: every non-identity Schreier generator
-    # reaches keep, so no candidate is skipped and nothing stops at a known
-    # order
-    verdicts = []
+def test_orbit_search_reference_matches_the_coset_route():
+    # the reference: enumerate all 39,366 phase states of the orbit of h6()
+    # under X and keep every distinct Schreier generator
+    gens = [g.to_perm36() for g in (tau1(), tau2(), star())]
+    result = orbit_stabilizer(gens, _phase_act, byte_state(h6()))
+    assert result.orbit_size == 39_366
+    reference = bsgs_build(result.stabilizer_generators)
+    aut = compute_aut_star()
+    assert reference.order() == aut.order == 2160
+    assert all(aut.bsgs.contains(g) for g in result.stabilizer_generators)
+    assert all(reference.contains(g.to_perm36()) for g in aut.generators)
+
+
+def test_stabilizer_search_runs_only_on_two_cosets(monkeypatch):
+    sizes = []
     search = autgroup.orbit_stabilizer
 
-    def counting_search(gens, act, seed, keep=None):
-        def counted(candidate):
-            verdicts.append(keep(candidate))
-            return verdicts[-1]
+    def recording_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        sizes.append(result.orbit_size)
+        return result
 
-        return search(gens, act, seed, keep=counted)
-
-    monkeypatch.setattr(autgroup, "orbit_stabilizer", counting_search)
+    monkeypatch.setattr(autgroup, "orbit_stabilizer", recording_search)
     aut = compute_aut_star.__wrapped__()
-    assert len(verdicts) == 50_627
-    assert verdicts.count(True) == 2
-    assert aut.orbit_size == 39_366
-
-
-def test_orbit_search_makes_no_permutation_product_per_edge(monkeypatch):
-    # the transversal is image bytes, so the 118,098 edges of the search make
-    # no Permutation; what remains is the closure and chain of the kept
-    # generators (4,566 products and 84 inverses; 173,292 and 50,712 when
-    # the transversal held Permutations)
-    calls = {"mul": 0, "inverse": 0}
-    mul, inverse = Permutation.__mul__, Permutation.inverse
-
-    def counted_mul(a, b):
-        calls["mul"] += 1
-        return mul(a, b)
-
-    def counted_inverse(a):
-        calls["inverse"] += 1
-        return inverse(a)
-
-    monkeypatch.setattr(Permutation, "__mul__", counted_mul)
-    monkeypatch.setattr(Permutation, "inverse", counted_inverse)
-    aut = compute_aut_star.__wrapped__()
+    assert sizes == [2]
     assert aut.orbit_size == 39_366 and aut.order == 2160
-    assert calls["mul"] < 10_000
-    assert calls["inverse"] < 1_000
 
 
-def test_kept_stabilizer_generators_are_pinned():
-    # freezes the search order: the two Schreier generators the orbit keeps
+def test_stabilizer_generators_are_pinned():
+    # freezes the coset search order: the four lifted Schreier generators,
+    # then the kernel word of N on phase states
     assert [str(g) for g in compute_aut_star().generators] == [
         "([1,1,1,1,1,1](2,3,4,5,6), [1,1,1,1,1,1](2,3,4,5,6))",
         "([1,1,w,w2,w2,w](1,2), [1,1,w2,w,w,w2](1,2)(3,6)(4,5))*",
+        "([w2,1,w2,1,w,w](1,3,4,5,6), [w,1,w2,w2,1,w](1,6,5,4,3))",
+        "([w2,w2,w2,w2,w2,w2], [w2,w2,w2,w2,w2,w2])",
+        "([w2,w2,w2,w2,w2,w2], [w2,w2,w2,w2,w2,w2])",
     ]
+
+
+def v_cosets():
+    return autgroup._VCosets(n.perm for n in n_subgroup().generators)
+
+
+def random_n(rng):
+    g = Permutation.identity(36)
+    for n in n_subgroup().generators:
+        g = g * n.perm ** rng.randrange(3)
+    return g
+
+
+def test_translations_of_n_span_rank_9():
+    assert len(v_cosets().span) == 9
+
+
+def test_kernel_of_n_on_phase_states_is_generated_by_the_omega_pair():
+    kernel = bsgs_build(v_cosets().kernel, degree=36)
+    assert kernel.order() == 3
+    assert kernel.contains(omega_pair().perm)
+
+
+def test_canon_is_constant_on_each_coset():
+    rng = random.Random(105)
+    cosets = v_cosets()
+    seed = byte_state(h6())
+    for state in (seed, _phase_act(seed, star().perm), _phase_act(seed, tau2().perm)):
+        name = cosets.canon(state)
+        # the name lies in the coset it names
+        assert cosets.untranslate(autgroup._phases(name, state)) is not None
+        for _ in range(40):
+            assert cosets.canon(_phase_act(state, random_n(rng))) == name
+
+
+def test_canon_separates_the_two_cosets_of_the_orbit():
+    cosets = v_cosets()
+    seed = byte_state(h6())
+    images = [_phase_act(seed, g.perm) for g in (tau1(), tau2(), star())]
+    assert len({cosets.canon(s) for s in [seed, *images]}) == 2
+    for image in images:
+        same = cosets.canon(image) == cosets.canon(seed)
+        assert same == (cosets.untranslate(autgroup._phases(image, seed)) is not None)
 
 
 def test_act_error_cases():
