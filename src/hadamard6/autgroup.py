@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import add, itemgetter
 
 from .eisenstein import E_ONE, OMEGA, OMEGA2, EisensteinRational
 from .groups import (
@@ -44,12 +43,11 @@ from .groups import (
     normal_closure,
     orbit_stabilizer,
 )
-from .matrices import ExactMatrix, h6, row_basis
+from .matrices import H6_PHASES, ExactMatrix, h6, row_basis
 from .monomial import MonomialMatrix
 from .perms import Permutation
 from .report import Clause, Report, check
 
-_UNIT_PHASE = {E_ONE: 0, OMEGA: 1, OMEGA2: 2}
 _new = object.__new__
 
 
@@ -301,37 +299,28 @@ class Stabilizer(Subgroup):
 
 
 @cache
-def _phase_map(images: bytes) -> tuple[bytes, itemgetter | None]:
-    """H -> H^g on phase states, read off the 36-point image of g alone (the
-    cache is keyed on its image bytes): a bytes.translate table on the 108
-    points 3k + h (entry k = 6r + j has phase h, an exponent of w), and a
-    gather.  If row state (0, r) goes to (a, r') and column state (0, j) to
-    (b, j'), column state (-h, j) goes to (b - s*h, j') with s = -1 iff g
-    conjugates, else 1, so entry (r', j') of H^g is a - b + s*h: point
-    3(6r + j) + h goes to 3(6r' + j') + (a - b + s*h).  Entry k moves to
-    k' = 6r' + j' whatever the state, so the gather takes byte k' from byte k;
-    it is None when g fixes every entry, as * does.  Images outside X raise
-    ValueError."""
-    XElement.from_perm36(Permutation(images))
-    s = (images[24] - images[18]) // 6
-    table = bytearray(256)
+def _phase_map(images: bytes) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """H -> H^g on phase states.  A state is the exponent vector h of H:
+    entry 6r + j of H is w^h[6r + j].  The map is read off the decoded
+    (P, Q, eps) of g and cached on g's image bytes.  With P = D K, Q = E L
+    and s = (-1)^eps, entry (r^K, j^L) of H^g = conj^eps(P^-1 H Q) has the
+    exponent s * (h[6r + j] - d_r + e_j), so entry k of h^g is
+    s * h[source[k]] + shift[k].  Images outside X raise ValueError."""
+    g = XElement.from_perm36(Permutation(images))
+    p, q, s = g.p, g.q, -1 if g.eps else 1
     source = [0] * 36
-    for r in range(6):
-        a, r2 = divmod(images[r], 6)
-        for j in range(6):
-            b, j2 = divmod(images[18 + j] - 18, 6)
+    shift = [0] * 36
+    for r, (d, r2) in enumerate(zip(p.phases, p.perm.images)):
+        for j, (e, j2) in enumerate(zip(q.phases, q.perm.images)):
             source[6 * r2 + j2] = 6 * r + j
-            for h in range(3):
-                table[18 * r + 3 * j + h] = 18 * r2 + 3 * j2 + (a - b + s * h) % 3
-    return bytes(table), None if source == list(range(36)) else itemgetter(*source)
+            shift[6 * r2 + j2] = s * (e - d)
+    return tuple(source), s, tuple(shift)
 
 
-def _phase_act(state: bytes, g: Permutation) -> bytes:
-    """A phase state holds the point 3k + h of entry k at byte k: translate
-    every point, then gather the entries back into order (see _phase_map)."""
-    table, gather = _phase_map(g.images)
-    moved = state.translate(table)
-    return moved if gather is None else bytes(gather(moved))
+def _phase_act(h: tuple, g: Permutation) -> tuple:
+    """The exponent vector of H^g from that of H (see _phase_map)."""
+    source, s, shift = _phase_map(g.images)
+    return tuple((s * h[k] + c) % 3 for k, c in zip(source, shift))
 
 
 def _reduce(v: tuple, basis) -> tuple:
@@ -346,16 +335,9 @@ def _reduce(v: tuple, basis) -> tuple:
     return v
 
 
-_ZERO_STATE = bytes(range(0, 108, 3))
-
-
-def _phases(state: bytes, base: bytes = _ZERO_STATE) -> tuple[int, ...]:
-    """The exponent of w by which each entry of state exceeds that of base."""
-    return tuple((x - y) % 3 for x, y in zip(state, base))
-
-
-def _state(phases) -> bytes:
-    return bytes(map(add, _ZERO_STATE, phases))
+def _difference(a: tuple, b: tuple) -> tuple[int, ...]:
+    """a - b mod 3, entrywise."""
+    return tuple((x - y) % 3 for x, y in zip(a, b))
 
 
 class _VCosets:
@@ -372,7 +354,7 @@ class _VCosets:
         self.ns = list(ns)
         m = len(self.ns)
         self.basis = [tuple(map(int, b)) for b in row_basis(
-            tuple(map(_GF3, _phase_act(_ZERO_STATE, n))) + tuple(_GF3(i == j) for j in range(m))
+            tuple(map(_GF3, _phase_act((0,) * 36, n))) + tuple(_GF3(i == j) for j in range(m))
             for i, n in enumerate(self.ns))]
         self.span = [b[:36] for b in self.basis if any(b[:36])]
         words = (self.word(b[36:]) for b in self.basis if not any(b[:36]))
@@ -384,16 +366,15 @@ class _VCosets:
             n = n * ni**yi
         return n
 
-    def canon(self, state: bytes) -> bytes:
-        """The state naming the coset state + V: state reduced against V's
-        basis, so two states get one name exactly when they differ by V."""
-        return _state(_reduce(_phases(state), self.span))
+    def canon(self, h: tuple) -> tuple:
+        """The state naming the coset h + V: h reduced against V's basis, so
+        two states get one name exactly when they differ by V."""
+        return _reduce(h, self.span)
 
     def invariant_under(self, g: Permutation) -> bool:
         """Whether g's linear part, h^g - 0^g, maps V into V."""
-        base = _phase_act(_ZERO_STATE, g)
-        return not any(
-            any(_reduce(_phases(_phase_act(_state(b), g), base), self.span)) for b in self.span)
+        base = _phase_act((0,) * 36, g)
+        return not any(any(_reduce(_difference(_phase_act(b, g), base), self.span)) for b in self.span)
 
     def untranslate(self, d) -> Permutation | None:
         """An n in N with t_n = -d, or None unless d is in V.  Reducing
@@ -424,7 +405,7 @@ def compute_aut_star() -> Stabilizer:
     neither factor is taken from |X|.  Each returned generator must fix h6()
     under the exact matrix action."""
     H = h6()
-    seed = _state(_UNIT_PHASE[x] for x in H.entries)
+    seed = tuple(h for row in H6_PHASES for h in row)
     cosets = _VCosets(n.perm for n in n_subgroup().generators)
     gens = [g.to_perm36() for g in x_generators()]
     if not all(map(cosets.invariant_under, gens)):
@@ -432,7 +413,7 @@ def compute_aut_star() -> Stabilizer:
     orbit = orbit_stabilizer(gens, lambda s, g: cosets.canon(_phase_act(s, g)), cosets.canon(seed))
     kept = []
     for s in orbit.stabilizer_generators:
-        n = cosets.untranslate(_phases(_phase_act(seed, s), seed))
+        n = cosets.untranslate(_difference(_phase_act(seed, s), seed))
         if n is None:
             raise AssertionError("a Schreier generator moves h6() off its coset")
         if _phase_act(seed, s * n) != seed:

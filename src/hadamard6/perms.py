@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)", re.ASCII)
 _IDENT = bytes(range(256))
 _new = object.__new__
 

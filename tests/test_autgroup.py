@@ -353,9 +353,9 @@ W = EisensteinRational(0, 1)
 PHASES = {E_ONE: 0, W: 1, W * W: 2}
 
 
-def byte_state(H):
-    # entry k = 6r + j with phase w^h is the point 3k + h of a 108-point set
-    return bytes(3 * k + PHASES[x] for k, x in enumerate(H.entries))
+def phase_state(H):
+    # the exponent vector: entry k = 6r + j of H is w^h[k]
+    return tuple(PHASES[x] for x in H.entries)
 
 
 def test_phase_action_matches_the_matrix_action():
@@ -367,20 +367,20 @@ def test_phase_action_matches_the_matrix_action():
     for _ in range(240):
         g = random_word(rng, length=rng.randrange(1, 9))
         image = g.act(H)
-        assert _phase_act(byte_state(H), g.to_perm36()) == byte_state(image)
+        assert _phase_act(phase_state(H), g.to_perm36()) == phase_state(image)
         flags.add(g.eps)
         H = image if rng.random() < 0.7 else h6()
     assert flags == {0, 1}
 
 
-def test_phase_states_hold_one_point_per_entry():
+def test_phase_states_are_exponents_fixed_by_the_identity():
     rng = random.Random(103)
     identity = Permutation.identity(36)
-    state = byte_state(h6())
+    state = phase_state(h6())
     for _ in range(100):
         state = _phase_act(state, random_word(rng, length=rng.randrange(1, 9)).to_perm36())
         assert len(state) == 36
-        assert all(3 * k <= p <= 3 * k + 2 for k, p in enumerate(state))
+        assert all(h in (0, 1, 2) for h in state)
         assert _phase_act(state, identity) == state
 
 
@@ -388,14 +388,32 @@ def test_phase_action_composes():
     # acting by g then by h is acting by g * h, on h6() and on states reached
     # by the walk, with words of both conjugation flags
     rng = random.Random(104)
-    state = byte_state(h6())
+    state = phase_state(h6())
     flags = set()
     for _ in range(200):
         g, h = (random_word(rng, length=rng.randrange(1, 9)) for _ in range(2))
         both = _phase_act(_phase_act(state, g.to_perm36()), h.to_perm36())
         assert both == _phase_act(state, (g * h).to_perm36())
         flags.update((g.eps, h.eps))
-        state = both if rng.random() < 0.7 else byte_state(h6())
+        state = both if rng.random() < 0.7 else phase_state(h6())
+    assert flags == {0, 1}
+
+
+def test_phase_action_is_affine_over_gf3():
+    # _VCosets.invariant_under and the proof that K = Stab(h) take the linear
+    # part h -> h^g - 0^g to be additive mod 3, for both conjugation flags
+    rng = random.Random(106)
+    zero = (0,) * 36
+    flags = set()
+    for _ in range(200):
+        word = random_word(rng, length=rng.randrange(1, 9))
+        g = word.to_perm36()
+        h, v = (tuple(rng.randrange(3) for _ in range(36)) for _ in range(2))
+        h_plus_v = tuple((x + y) % 3 for x, y in zip(h, v))
+        lhs = [(x + y) % 3 for x, y in zip(_phase_act(h_plus_v, g), _phase_act(zero, g))]
+        rhs = [(x + y) % 3 for x, y in zip(_phase_act(h, g), _phase_act(v, g))]
+        assert lhs == rhs
+        flags.add(word.eps)
     assert flags == {0, 1}
 
 
@@ -403,14 +421,14 @@ def test_phase_action_composes():
 @pytest.mark.parametrize("cycles, degree", [("(1,19)", 36), ("(1,7)", 36), ("(1,2)", 36), ("(1,2)", 6)])
 def test_phase_action_rejects_permutations_outside_x(cycles, degree):
     with pytest.raises(ValueError):
-        _phase_act(byte_state(h6()), Permutation.parse(cycles, degree))
+        _phase_act(phase_state(h6()), Permutation.parse(cycles, degree))
 
 
 def test_orbit_search_reference_matches_the_coset_route():
     # the reference: enumerate all 39,366 phase states of the orbit of h6()
     # under X and keep every distinct Schreier generator
     gens = [g.to_perm36() for g in (tau1(), tau2(), star())]
-    result = orbit_stabilizer(gens, _phase_act, byte_state(h6()))
+    result = orbit_stabilizer(gens, _phase_act, phase_state(h6()))
     assert result.orbit_size == 39_366
     reference = bsgs_build(result.stabilizer_generators)
     aut = compute_aut_star()
@@ -470,23 +488,23 @@ def test_kernel_of_n_on_phase_states_is_generated_by_the_omega_pair():
 def test_canon_is_constant_on_each_coset():
     rng = random.Random(105)
     cosets = v_cosets()
-    seed = byte_state(h6())
+    seed = phase_state(h6())
     for state in (seed, _phase_act(seed, star().perm), _phase_act(seed, tau2().perm)):
         name = cosets.canon(state)
         # the name lies in the coset it names
-        assert cosets.untranslate(autgroup._phases(name, state)) is not None
+        assert cosets.untranslate(autgroup._difference(name, state)) is not None
         for _ in range(40):
             assert cosets.canon(_phase_act(state, random_n(rng))) == name
 
 
 def test_canon_separates_the_two_cosets_of_the_orbit():
     cosets = v_cosets()
-    seed = byte_state(h6())
+    seed = phase_state(h6())
     images = [_phase_act(seed, g.perm) for g in (tau1(), tau2(), star())]
     assert len({cosets.canon(s) for s in [seed, *images]}) == 2
     for image in images:
         same = cosets.canon(image) == cosets.canon(seed)
-        assert same == (cosets.untranslate(autgroup._phases(image, seed)) is not None)
+        assert same == (cosets.untranslate(autgroup._difference(image, seed)) is not None)
 
 
 def test_act_error_cases():

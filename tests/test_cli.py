@@ -63,6 +63,13 @@ def test_outer_apply_parse_failure(capsys):
     assert "error" in err
 
 
+def test_outer_apply_rejects_non_ascii_digits(capsys):
+    code, out, err = run(capsys, "outer", "apply", "(\u0661,\u0662)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_outer_apply_parses_before_building_the_tables(capsys, monkeypatch):
     # bad input exits 2 without paying for (or tripping over) the S6 tables
     from hadamard6 import cli

@@ -205,7 +205,7 @@ def _walked_phase_case():
     # stabilizer of h6(), so the orbit is small but not a single state
     rng = random.Random(17)
     x = [g.to_perm36() for g in x_generators()]
-    seed = bytes(3 * k + h for k, h in enumerate(h for row in H6_PHASES for h in row))
+    seed = tuple(h for row in H6_PHASES for h in row)
     for _ in range(6):
         seed = _phase_act(seed, rng.choice(x))
     return [tau1().to_perm36(), (tau2() * star()).to_perm36()], _phase_act, seed

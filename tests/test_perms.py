@@ -39,6 +39,9 @@ def test_parse_errors():
         Permutation.parse("(1,2)(2,3)", 6)
     with pytest.raises(ValueError):
         Permutation.parse("nonsense", 6)
+    # Arabic-Indic digits one and two: int() would read them as 1 and 2
+    with pytest.raises(ValueError):
+        Permutation.parse("(\u0661,\u0662)", 6)
 
 
 def test_right_action_product():
