@@ -27,7 +27,6 @@ this choice is pinned by the frozen diagonal commutator values in the tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -49,6 +48,10 @@ from .perms import Permutation
 from .report import Clause, Report, check
 
 _new = object.__new__
+# Point base + 6a + s (base 0 or 18) has row or column s and phase a; d = -a
+# is the phase of the component when eps = 0 and d = a when eps = 1.
+_ROW_OF = bytes(x % 6 for x in range(256))
+_PHASE_OF = tuple(bytes(sign * (x // 6) % 3 for x in range(256)) for sign in (-1, 1))
 
 
 class XElement:
@@ -88,9 +91,9 @@ class XElement:
 
     def _component(self, base: int) -> MonomialMatrix:
         # state (0, r) goes to (-d_r, r^K), negated when eps = 1
-        sign = 1 if self.eps else -1
-        a, s = zip(*(divmod(x - base, 6) for x in self.perm.images[base:base + 6]))
-        return MonomialMatrix([sign * x for x in a], Permutation._raw(bytes(s)))
+        block = self.perm.images[base:base + 6]
+        return MonomialMatrix._raw(tuple(block.translate(_PHASE_OF[self.eps])),
+                                   Permutation._raw(block.translate(_ROW_OF)))
 
     @property
     def p(self) -> MonomialMatrix:
@@ -269,12 +272,14 @@ def _row_restriction_block(p: int) -> int:
     return p if p < 18 else 18
 
 
-@dataclass(eq=False)
 class Subgroup:
     """A subgroup of X: generators, and the chain of their 36-point images."""
 
-    generators: tuple[XElement, ...]
-    bsgs: BSGS
+    __slots__ = ("generators", "bsgs")
+
+    def __init__(self, generators: tuple[XElement, ...], bsgs: BSGS):
+        self.generators = generators
+        self.bsgs = bsgs
 
     @property
     def order(self) -> int:
@@ -293,9 +298,12 @@ def n_subgroup() -> Subgroup:
     return Subgroup(tuple(map(XElement._raw, chain.strong_generators())), chain)
 
 
-@dataclass(eq=False)
 class Stabilizer(Subgroup):
-    orbit_size: int
+    __slots__ = ("orbit_size",)
+
+    def __init__(self, generators: tuple[XElement, ...], bsgs: BSGS, orbit_size: int):
+        super().__init__(generators, bsgs)
+        self.orbit_size = orbit_size
 
 
 @cache

@@ -25,7 +25,7 @@ membership test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .autgroup import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
@@ -40,10 +40,10 @@ from .report import Clause, Report, check
 _PHI = Permutation(base + 6 * (-a % 3) + r for base in (0, 18) for a in range(3) for r in range(6))
 
 
-@dataclass(frozen=True)
-class BRepElement:
-    a: MonomialBMatrix
-    b: MonomialBMatrix
+class BRepElement(namedtuple("BRepElement", "a b")):
+    """The pair (A', B') of B-monomial matrices representing an element."""
+
+    __slots__ = ()
 
     def __str__(self):
         return f"({self.a}, {self.b})"

@@ -38,6 +38,15 @@ GROUPS = {
 }
 
 
+def _seed(text: str) -> int:
+    """ASCII digits with an optional leading "-"; int() alone would also
+    read other Unicode digits, a "+", "_" separators and surrounding space."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hadamard6")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = verify.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report on stdout")
     fmt.add_argument("--text", action="store_true", help="text report (default)")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="only echoed in the JSON report")
+    verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="only echoed in the JSON report")
 
     outer_p = sub.add_parser("outer", help="query the outer automorphism")
     outer_sub = outer_p.add_subparsers(dest="outer_command", required=True)

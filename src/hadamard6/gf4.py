@@ -8,7 +8,6 @@ puncturing drops it to (5, 3, 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -23,13 +22,13 @@ _MUL = (
 _NAMES = ("0", "1", "x", "x2")
 
 
-@dataclass(frozen=True)
 class GF4:
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value not in (0, 1, 2, 3):
+    def __init__(self, value: int):
+        if value not in (0, 1, 2, 3):
             raise ValueError("GF(4) values are 0..3")
+        self.value = value
 
     def __add__(self, other: "GF4") -> "GF4":
         return GF4(self.value ^ other.value)
@@ -41,6 +40,17 @@ class GF4:
 
     def __bool__(self):
         return self.value != 0
+
+    def __eq__(self, other):
+        if not isinstance(other, GF4):
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"GF4(value={self.value!r})"
 
     def __str__(self):
         return _NAMES[self.value]

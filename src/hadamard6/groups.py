@@ -21,8 +21,7 @@ with image bytes, and a * b^-1 on image bytes is computed in one place, _div.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from operator import mul
 
 from .perms import _IDENT, Permutation
@@ -222,10 +221,7 @@ def bsgs_build(gens, degree: int | None = None) -> BSGS:
     return BSGS(gens, degree)
 
 
-@dataclass
-class OrbitStabilizer:
-    orbit_size: int
-    stabilizer_generators: list = field(default_factory=list)
+OrbitStabilizer = namedtuple("OrbitStabilizer", "orbit_size stabilizer_generators")
 
 
 def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:

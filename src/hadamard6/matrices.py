@@ -143,7 +143,9 @@ def row_basis(rows) -> list[tuple]:
     with leading position lead, a row with a nonzero entry c there becomes
     b[lead] * row - c * b, entry by entry.  b[lead] is nonzero, so this keeps
     the span over the field of fractions, and with it the rank; over a field
-    it keeps the span itself.  The leading positions of the basis rows are
+    it keeps the span itself.  Where b's entry is zero the new entry is
+    b[lead] * x, and where both entries are zero the zero is kept, so zero
+    entries cost no product.  The leading positions of the basis rows are
     distinct, and a basis fed back in as the first rows comes back unchanged,
     since such a row is zero at every earlier lead and is never touched.
 
@@ -160,7 +162,7 @@ def row_basis(rows) -> list[tuple]:
             c = row[lead]
             if c:
                 p = b[lead]
-                row = tuple(p * x - c * y for x, y in zip(row, b))
+                row = tuple(p * x - c * y if y else p * x if x else x for x, y in zip(row, b))
         if any(row):
             leads.append(next(i for i, x in enumerate(row) if x))
             basis.append(row)

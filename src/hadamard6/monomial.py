@@ -31,6 +31,16 @@ from .perms import Permutation
 _ENTRY_NAMES = {0: "1", 1: "w", 2: "w2"}
 _ENTRY_VALUES = {"1": 0, "w": 1, "w2": 2}
 _new = object.__new__
+# the units w^a B^b as (a, b), indexed by b and then a
+_B_UNITS = (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1), (2, 1)))
+# Row r of a B-monomial component, with unit w^x B^y and image s, is coded
+# 12x + 6y + s; _B_PAIR_TABLES[half][c] sends that code to the image of the
+# point (c, r) in that half of the 36 points, by the unit law.
+_B_PAIR_TABLES = tuple(
+    tuple(bytes(base + 6 * ((c + x) * (-1) ** y % 3) + s
+                for x in range(3) for y in range(2) for s in range(6)).ljust(256, b"\0")
+          for c in range(3))
+    for base in (0, 18))
 
 
 class MonomialMatrix:
@@ -44,6 +54,14 @@ class MonomialMatrix:
             raise ValueError("phase vector length does not match degree")
         self.phases = phases
         self.perm = perm
+
+    @classmethod
+    def _raw(cls, phases: tuple, perm: Permutation) -> "MonomialMatrix":
+        # trusted internal path: phases is a tuple of ints already reduced mod 3
+        m = _new(cls)
+        m.phases = phases
+        m.perm = perm
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
@@ -155,9 +173,8 @@ class MonomialBMatrix:
     def from_monomial(cls, m: MonomialMatrix, with_beta: bool) -> "MonomialBMatrix":
         """m itself, or m * (B I); K commutes with the scalar B.  Trusted:
         m's phases are already reduced, so __init__'s pass is skipped."""
-        b = 1 if with_beta else 0
         mb = _new(cls)
-        mb.phases = tuple((a, b) for a in m.phases)
+        mb.phases = tuple(map(_B_UNITS[with_beta].__getitem__, m.phases))
         mb.perm = m.perm
         return mb
 
@@ -202,7 +219,8 @@ def b_pair_perm36(a: MonomialBMatrix, b: MonomialBMatrix) -> Permutation:
     multiplicative, like XElement's image of (P, Q, eps)."""
     if a.degree != 6 or b.degree != 6:
         raise ValueError("the 36-point image needs two degree-6 components")
-    return Permutation._raw(bytes(
-        base + 6 * ((-(c + x) if y else c + x) % 3) + s
-        for base, m in ((0, a), (18, b)) for c in range(3)
-        for (x, y), s in zip(m.phases, m.perm.images)))
+    out = []
+    for m, tables in zip((a, b), _B_PAIR_TABLES):
+        codes = bytes(12 * x + 6 * y + s for (x, y), s in zip(m.phases, m.perm.images))
+        out += map(codes.translate, tables)
+    return Permutation._raw(b"".join(out))

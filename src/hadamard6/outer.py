@@ -14,7 +14,6 @@ images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .autgroup import tau1, tau2prime
@@ -22,12 +21,14 @@ from .groups import InconsistentImagesError, hom_closure
 from .perms import Permutation
 
 
-@dataclass(eq=False)
 class AutoTable:
     """A map from the full symmetric group to itself, stored elementwise."""
 
-    table: dict
-    generators: tuple
+    __slots__ = ("table", "generators")
+
+    def __init__(self, table: dict, generators: tuple):
+        self.table = table
+        self.generators = generators
 
     def apply(self, g: Permutation) -> Permutation:
         return self.table[g]

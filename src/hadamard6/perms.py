@@ -16,6 +16,9 @@ from __future__ import annotations
 import re
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)", re.ASCII)
+# what \s matches under re.ASCII; str.isspace and str.strip() also take
+# Unicode spaces, which _CYCLE_RE rejects inside a cycle
+_SPACE = " \t\n\r\f\v"
 _IDENT = bytes(range(256))
 _new = object.__new__
 
@@ -46,7 +49,7 @@ class Permutation:
     @classmethod
     def parse(cls, text: str, degree: int) -> "Permutation":
         """Parse "id" or a product of cycles like "(1,2)(3,6)(4,5)"."""
-        text = text.strip()
+        text = text.strip(_SPACE)
         if text == "id":
             return cls.identity(degree)
         pos = 0
@@ -54,7 +57,7 @@ class Permutation:
         seen = set()
         matched_any = False
         while pos < len(text):
-            if text[pos].isspace():
+            if text[pos] in _SPACE:
                 pos += 1
                 continue
             m = _CYCLE_RE.match(text, pos)

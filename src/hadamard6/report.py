@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Clause:
-    id: str
-    claim: str
-    expected: str
-    computed: str
-    passed: bool
+class Clause(namedtuple("Clause", "id claim expected computed passed")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -23,10 +18,12 @@ class Clause:
         }
 
 
-@dataclass
 class Report:
-    name: str
-    clauses: list[Clause]
+    __slots__ = ("name", "clauses")
+
+    def __init__(self, name: str, clauses: list[Clause]):
+        self.name = name
+        self.clauses = clauses
 
     @property
     def passed(self) -> bool:

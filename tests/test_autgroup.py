@@ -231,6 +231,23 @@ def test_perm36_round_trip():
         assert XElement.from_perm36(g.to_perm36()) == g
 
 
+@pytest.mark.parametrize("eps", [0, 1])
+def test_components_match_a_divmod_decode(eps):
+    # point base + 6a + s of a block is (a, s); (0, r) goes to (-d_r, r^K),
+    # negated when eps = 1
+    rng = random.Random(109)
+    sign = 1 if eps else -1
+    for _ in range(100):
+        g = random_word(rng)
+        if g.eps != eps:
+            g = g * star()
+        for base, m in ((0, g.p), (18, g.q)):
+            a, s = zip(*(divmod(x - base, 6) for x in g.perm.images[base:base + 6]))
+            assert m.phases == tuple(sign * x % 3 for x in a)
+            assert all(type(d) is int for d in m.phases)
+            assert m.perm.images == bytes(s)
+
+
 @pytest.mark.parametrize("cycles, degree", [("(1,19)", 36), ("(1,7)", 36), ("(1,2)", 36), ("(1,2)", 6)])
 def test_from_perm36_rejects_foreign_permutations(cycles, degree):
     with pytest.raises(ValueError):

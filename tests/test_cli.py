@@ -106,6 +106,22 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed, echoed", [("7", 7), ("-3", -3), ("007", 7)])
+def test_verify_seed_is_echoed(capsys, seed, echoed):
+    code, out, _ = run(capsys, "verify", "--only", "codes", "--json", "--seed", seed)
+    assert code == 0
+    assert json.loads(out)["seed"] == echoed
+
+
+@pytest.mark.parametrize("seed", ["\u0667", "+7", " 7", "1_0", "-", ""])
+def test_verify_seed_takes_ascii_digits_only(capsys, seed):
+    # int() would read an Arabic-Indic seven, a sign, separators and spaces
+    code, out, err = run(capsys, "verify", "--only", "codes", "--json", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and "--seed" in err and "Traceback" not in err
+
+
 def test_verify_codes_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--only", "codes", "--json")
     assert code == 0
@@ -262,6 +278,20 @@ def test_verify_loads_no_rational_arithmetic():
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_loads_no_dataclasses():
+    # the records of the package are plain classes and named tuples; importing
+    # dataclasses (and inspect with it) costs every process several ms
+    code = (
+        "import sys\n"
+        "from hadamard6 import cli\n"
+        "assert cli.main(['verify']) == 0\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("argv", [["verify", "--only", "codes"], ["outer", "table"],

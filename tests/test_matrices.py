@@ -238,3 +238,39 @@ def test_row_basis_rank_over_q_omega():
                          for j in range(5)])
         rng.shuffle(rows)
         assert 2 * len(row_basis(rows)) == _rank_over_q(_realify(rows))
+
+
+def _row_basis_unskipped(rows):
+    """row_basis with every entry of a reduced row formed as p * x - c * y,
+    zero or not."""
+    basis, leads = [], []
+    for row in rows:
+        row = tuple(row)
+        for b, lead in zip(basis, leads):
+            c = row[lead]
+            if c:
+                p = b[lead]
+                row = tuple(p * x - c * y for x, y in zip(row, b))
+        if any(row):
+            leads.append(next(i for i, x in enumerate(row) if x))
+            basis.append(row)
+    return basis
+
+
+_SPARSE_RINGS = {
+    "Z[w]": (lambda rng: EisensteinRational(rng.randint(-2, 2), rng.randint(-2, 2)), E_ZERO),
+    "GF(3)": (lambda rng: _GF3(rng.randrange(3)), _GF3(0)),
+    "GF(4)": (lambda rng: rng.choice(GF4_ALL), GF4_ZERO),
+}
+
+
+@pytest.mark.parametrize("ring", list(_SPARSE_RINGS))
+def test_row_basis_matches_unskipped_cross_multiplication(ring):
+    # sparse systems, so that a row and a basis row often have zeros in the
+    # same and in different places, under pivots other than 1
+    element, zero = _SPARSE_RINGS[ring]
+    rng = random.Random(24)
+    for _ in range(60):
+        rows = [tuple(element(rng) if rng.random() < 0.4 else zero for _ in range(8))
+                for _ in range(rng.randint(1, 9))]
+        assert row_basis(rows) == _row_basis_unskipped(rows)

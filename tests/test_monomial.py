@@ -211,6 +211,24 @@ def test_b_pair_perm36_pins_the_unit_law():
     assert [e.images[18 + 6 * c + 2] for c in range(3)] == [18 + 2, 18 + 8, 18 + 14]
 
 
+def random_bmonomial(rng):
+    images = list(range(6))
+    rng.shuffle(images)
+    return MonomialBMatrix([(rng.randrange(3), rng.randrange(2)) for _ in range(6)],
+                           Permutation(images))
+
+
+def test_b_pair_perm36_follows_the_unit_law():
+    # (c, r) -> ((-1)^b_r * (c + a_r), r^K) on each half, point by point
+    rng = random.Random(24)
+    for _ in range(200):
+        a, b = random_bmonomial(rng), random_bmonomial(rng)
+        expected = bytes(base + 6 * ((-1) ** y * (c + x) % 3) + m.perm.images[r]
+                         for base, m in ((0, a), (18, b)) for c in range(3)
+                         for r, (x, y) in enumerate(m.phases))
+        assert b_pair_perm36(a, b).images == expected
+
+
 def test_b_pair_perm36_degree_mismatch():
     m5 = MonomialBMatrix(((0, 0),) * 5, Permutation.identity(5))
     m6 = MonomialBMatrix(((0, 0),) * 6, Permutation.identity(6))

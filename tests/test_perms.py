@@ -42,6 +42,11 @@ def test_parse_errors():
     # Arabic-Indic digits one and two: int() would read them as 1 and 2
     with pytest.raises(ValueError):
         Permutation.parse("(\u0661,\u0662)", 6)
+    # an ideographic space, between cycles as inside one: \s under re.ASCII
+    # takes ASCII whitespace only
+    for text in ("(1,2)\u3000(3,4)", "(1,\u30002)", "\u3000(1,2)"):
+        with pytest.raises(ValueError):
+            Permutation.parse(text, 6)
 
 
 def test_right_action_product():
