@@ -29,7 +29,7 @@ from collections import namedtuple
 from functools import cache
 
 from .autgroup import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
-from .eisenstein import E_ZERO, EisensteinRational, SplitQuaternion
+from .eisenstein import E_ZERO, OMEGA_POWERS, EisensteinRational, SplitQuaternion
 from .groups import closure
 from .matrices import ExactMatrix, h6, row_basis
 from .monomial import MonomialBMatrix, b_pair_perm36
@@ -89,22 +89,19 @@ def verify_intertwining(g: XElement) -> bool:
 
 
 def commutant_dimension() -> int:
-    """Dimension over Q(w) of the matrices commuting with every first
-    component of the eps = 0 stabilizer generators; 1 means scalars only."""
-    mats = [g.p.to_matrix() for g in compute_aut_linear().generators]
+    """Dimension over Q(w) of the matrices X with XP = PX for the first component
+    P = D*K of every eps = 0 stabilizer generator; 1 means scalars only."""
     n = 6
-    unknowns = n * n
     rows: list[list[EisensteinRational]] = []
-    for A in mats:
-        a = A.entries
+    for g in compute_aut_linear().generators:
+        d, img = g.p.phases, g.p.perm.images
         for i in range(n):
-            for j in range(n):
-                row = [E_ZERO] * unknowns
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] + a[k * n + j]
-                    row[k * n + j] = row[k * n + j] - a[i * n + k]
+            for m in range(n):
+                row = [E_ZERO] * (n * n)
+                row[i * n + m] = OMEGA_POWERS[d[m]]  # (XP)[i][m^K] = X[i][m] w^d_m
+                row[img[i] * n + img[m]] -= OMEGA_POWERS[d[i]]  # (PX)[i][m^K] = w^d_i X[i^K][m^K]
                 rows.append(row)
-    return unknowns - len(row_basis(rows))
+    return n * n - len(row_basis(rows))
 
 
 def verify_theorem() -> Report:

