@@ -48,10 +48,6 @@ from .perms import Permutation
 from .report import Clause, Report, check
 
 _new = object.__new__
-# Point base + 6a + s (base 0 or 18) has row or column s and phase a; d = -a
-# is the phase of the component when eps = 0 and d = a when eps = 1.
-_ROW_OF = bytes(x % 6 for x in range(256))
-_PHASE_OF = tuple(bytes(sign * (x // 6) % 3 for x in range(256)) for sign in (-1, 1))
 
 
 class XElement:
@@ -91,9 +87,9 @@ class XElement:
 
     def _component(self, base: int) -> MonomialMatrix:
         # state (0, r) goes to (-d_r, r^K), negated when eps = 1
-        block = self.perm.images[base:base + 6]
-        return MonomialMatrix._raw(tuple(block.translate(_PHASE_OF[self.eps])),
-                                   Permutation._raw(block.translate(_ROW_OF)))
+        sign = 1 if self.eps else -1
+        a, s = zip(*(divmod(x - base, 6) for x in self.perm.images[base:base + 6]))
+        return MonomialMatrix([sign * x for x in a], Permutation._raw(bytes(s)))
 
     @property
     def p(self) -> MonomialMatrix:

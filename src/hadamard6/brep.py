@@ -10,17 +10,23 @@ the complex subfield, the intertwining relation
 is verified denominator-free as  H * rep.B * dagger(H) = 6 * rep.A  over the
 exact split quaternions; no number is inverted anywhere.
 
-brep_homomorphism is checked element by element on the 2160 elements of
-<tau1, tau2 *>: the encoding E = b_pair_perm36 of B-monomial pairs is
-injective and multiplicative, and E(b_rep(g)) = phi g phi for every element g
-of the closure, where phi: (a, r) -> (-a, r) on both halves of the 36 points.
-Conjugation by the involution phi is multiplicative, so b_rep(g h) and
-b_rep(g) b_rep(h) have one image under E and are equal: b_rep is a
-homomorphism.  Only intertwining is proved by generator induction: H B'
-dagger(H) / 6 and A' are both multiplicative (dagger(H) H = 6I) and agree on
-the generators.  The closure's elements are words in tau1 and tau2 *, so they
-are members by construction and go through b_rep's formula without a
-membership test.
+brep_homomorphism is proved on all of X by a row law: E(f(g)) = phi g phi,
+with f = _b_rep_formula, E = b_pair_perm36 (injective and multiplicative)
+and phi: (c, r) -> (-c, r) on both halves of the 36 points.  With D*K a
+component, D = diag(w^d) and s = (-1)^eps, both sides act row by row:
+
+  - XElement.__init__ sends (a, r) to (s * (a - d_r), r^K), so phi g phi
+    sends (c, r) to (s * (c + d_r), r^K);
+  - _b_rep_formula gives row r the unit w^x B^y with x = d_r and y = eps,
+    b_pair_perm36 codes it as 12x + 6y + r^K, and _B_PAIR_TABLES sends
+    (c, r) to ((-1)^y * (c + x), r^K).
+
+So the law holds on X once it holds for each (d, eps) in Z3 x Z2, checked
+on the six elements (dI, dI, eps), and for one K != 1, checked on tau1.
+Conjugation by the involution phi is multiplicative, so f(g h) and
+f(g) f(h) have one image under E and are equal: f is a homomorphism on X.
+intertwining follows by generator induction: H B' dagger(H) / 6 and A' are
+both multiplicative (dagger(H) H = 6I) and agree on the generators.
 """
 
 from __future__ import annotations
@@ -30,9 +36,8 @@ from functools import cache
 
 from .autgroup import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
 from .eisenstein import E_ZERO, OMEGA_POWERS, EisensteinRational, SplitQuaternion
-from .groups import closure
 from .matrices import ExactMatrix, h6, row_basis
-from .monomial import MonomialBMatrix, b_pair_perm36
+from .monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
 from .perms import Permutation
 from .report import Clause, Report, check
 
@@ -64,10 +69,10 @@ def _b_rep_formula(g: XElement) -> BRepElement:
     )
 
 
-def _encodes_phi_conjugate(perm: Permutation) -> bool:
-    """E(b_rep's formula) = phi g phi for the element g with this image."""
-    rep = _b_rep_formula(XElement._raw(perm))
-    return b_pair_perm36(rep.a, rep.b) == _PHI * perm * _PHI
+def _encodes_phi_conjugate(g: XElement) -> bool:
+    """E(b_rep's formula) = phi g phi."""
+    rep = _b_rep_formula(g)
+    return b_pair_perm36(rep.a, rep.b) == _PHI * g.perm * _PHI
 
 
 @cache
@@ -109,8 +114,10 @@ def verify_theorem() -> Report:
     t2s = tau2() * star()
     gens = (tau1(), t2s)
 
-    elements = closure([g.perm for g in gens])
-    hom_ok = len(elements) == 2160 and all(map(_encodes_phi_conjugate, elements))
+    # the row law's six (d, eps) cases, and both generators (tau1 has K != 1)
+    diagonals = [XElement(MonomialMatrix.diagonal((d,) * 6), MonomialMatrix.diagonal((d,) * 6), eps)
+                 for d in range(3) for eps in range(2)]
+    hom_ok = all(map(_encodes_phi_conjugate, diagonals + list(gens)))
     clauses.append(check("brep_homomorphism",
                          "representation is multiplicative on all 2160 elements of <tau1, tau2 *>",
                          True, hom_ok))

@@ -42,9 +42,12 @@ def _seed(text: str) -> int:
     """ASCII digits with an optional leading "-"; int() alone would also
     read other Unicode digits, a "+", "_" separators and surrounding space."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

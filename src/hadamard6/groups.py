@@ -45,8 +45,8 @@ class ClosureCapError(ValueError):
 
 # Largest orbit _schreier_search will enumerate, and so the cap of closure,
 # hom_closure and orbit_stabilizer.  is_simple_small (on prop2's order-360
-# quotient), brep's closure of the 2,160-element stabilizer, both S6 tables
-# in outer and the 2-state orbits of autgroup go through them.
+# quotient), both S6 tables in outer and the 2-state orbits of autgroup go
+# through them.
 _ENUMERATION_CAP = 10**6
 _UNSEEN = object()
 

@@ -30,8 +30,6 @@ from .perms import Permutation
 
 _ENTRY_NAMES = {0: "1", 1: "w", 2: "w2"}
 _new = object.__new__
-# the units w^a B^b as (a, b), indexed by b and then a
-_B_UNITS = (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1), (2, 1)))
 # Row r of a B-monomial component, with unit w^x B^y and image s, is coded
 # 12x + 6y + s; _B_PAIR_TABLES[half][c] sends that code to the image of the
 # point (c, r) in that half of the 36 points, by the unit law.
@@ -61,14 +59,6 @@ class MonomialMatrix:
             raise ValueError("phase vector length does not match degree")
         self.phases = phases
         self.perm = perm
-
-    @classmethod
-    def _raw(cls, phases: tuple, perm: Permutation) -> "MonomialMatrix":
-        # trusted internal path: phases is a tuple of ints already reduced mod 3
-        m = _new(cls)
-        m.phases = phases
-        m.perm = perm
-        return m
 
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
@@ -155,8 +145,9 @@ class MonomialBMatrix:
     def from_monomial(cls, m: MonomialMatrix, with_beta: bool) -> "MonomialBMatrix":
         """m itself, or m * (B I); K commutes with the scalar B.  Trusted:
         m's phases are already reduced, so __init__'s pass is skipped."""
+        b = 1 if with_beta else 0
         mb = _new(cls)
-        mb.phases = tuple(map(_B_UNITS[with_beta].__getitem__, m.phases))
+        mb.phases = tuple((a, b) for a in m.phases)
         mb.perm = m.perm
         return mb
 

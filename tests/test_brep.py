@@ -3,8 +3,17 @@ from collections import Counter
 
 import pytest
 
-from hadamard6 import brep
-from hadamard6.autgroup import XElement, compute_aut_linear, star, tau1, tau2, tau2prime
+from hadamard6 import brep, groups, monomial
+from hadamard6.autgroup import (
+    XElement,
+    compute_aut_linear,
+    stabilizer_span,
+    star,
+    tau1,
+    tau2,
+    tau2prime,
+    x_generators,
+)
 from hadamard6.brep import (
     BRepElement,
     b_rep,
@@ -85,6 +94,45 @@ def test_encoding_of_the_formula_is_phi_conjugation_on_all_of_x():
         for _ in range(rng.randrange(1, 16)):
             g = g * rng.choice(letters)
         assert encode(brep._b_rep_formula(g)) == PHI * g.perm * PHI
+
+
+def test_row_law_holds_along_a_walk_through_x():
+    # brep_homomorphism checks eight elements and claims the law on all of X:
+    # every step of a 600-step walk over X's generators satisfies it, and
+    # most steps lie outside the stabilizer
+    rng = random.Random(202)
+    g = XElement.identity()
+    outside = 0
+    for _ in range(600):
+        g = g * rng.choice(x_generators())
+        outside += not stabilizer_span().contains(g.perm)
+        assert b_pair_perm36(*brep._b_rep_formula(g)) == brep._PHI * g.perm * brep._PHI
+    assert outside > 500
+
+
+def _b_pair_tables(law):
+    # _B_PAIR_TABLES with the phase of (c, r) under the unit w^x B^y given by law
+    return tuple(
+        tuple(bytes(base + 6 * (law(c, x, y) % 3) + s
+                    for x in range(3) for y in range(2) for s in range(6)).ljust(256, b"\0")
+              for c in range(3))
+        for base in (0, 18))
+
+
+def test_b_pair_tables_follow_the_unit_law():
+    assert monomial._B_PAIR_TABLES == _b_pair_tables(lambda c, x, y: (c + x) * (-1) ** y)
+
+
+@pytest.mark.parametrize("law", [lambda c, x, y: (c - x) * (-1) ** y,
+                                 lambda c, x, y: c * (-1) ** y + x],
+                         ids=["c-x", "sign_on_c_only"])
+def test_brep_homomorphism_clause_fails_on_a_sign_mutant_of_the_tables(monkeypatch, law):
+    # the real encoder, run on tables whose sign is wrong, no longer gives
+    # phi g phi on the row law's elements
+    monkeypatch.setattr(monomial, "_B_PAIR_TABLES", _b_pair_tables(law))
+    by_id = {c.id: c for c in verify_theorem().clauses}
+    assert not by_id["brep_homomorphism"].passed
+    assert not by_id["intertwining"].passed
 
 
 def test_intertwining_for_generators():
@@ -183,7 +231,7 @@ def _swapped(rep):
 
 @pytest.mark.parametrize("wrong", [_without_beta, _swapped], ids=["without_B", "swapped"])
 def test_brep_homomorphism_clause_fails_on_a_wrong_generator_image(monkeypatch, wrong):
-    # tau2 * gets a wrong image, both from b_rep and inside the closure's
+    # tau2 * gets a wrong image, both from b_rep and inside the row law's
     # check, so its encoding is no longer phi (tau2 *) phi
     t2s = tau2() * star()
     formula = brep._b_rep_formula
@@ -195,8 +243,9 @@ def test_brep_homomorphism_clause_fails_on_a_wrong_generator_image(monkeypatch, 
 
 
 def test_theorem_sifts_only_the_generators(monkeypatch):
-    # the closure's keys are words in the generators, so only intertwining's
-    # two generators and rhs_involution's element go through a membership test
+    # the row law's elements go through b_rep's formula without a membership
+    # test, so only intertwining's two generators and rhs_involution's element
+    # are sifted
     calls = []
     contains = BSGS.contains
 
@@ -207,6 +256,25 @@ def test_theorem_sifts_only_the_generators(monkeypatch):
     monkeypatch.setattr(BSGS, "contains", counting)
     assert verify_theorem().passed
     assert len(calls) == 3
+
+
+def test_theorem_builds_no_closure(monkeypatch):
+    # brep_homomorphism checks the row law on eight elements and lists none
+    def no_closure(gens):
+        raise AssertionError("theorem must not enumerate a group")
+
+    checked = []
+    encodes = brep._encodes_phi_conjugate
+
+    def counting(g):
+        checked.append(g)
+        return encodes(g)
+
+    monkeypatch.setattr(groups, "closure", no_closure)
+    monkeypatch.setattr(brep, "_encodes_phi_conjugate", counting)
+    assert "closure" not in vars(brep)
+    assert verify_theorem().passed
+    assert len(checked) == 8
 
 
 @pytest.mark.parametrize("element", [tau1, lambda: tau2() * star()],

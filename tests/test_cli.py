@@ -113,13 +113,16 @@ def test_verify_seed_is_echoed(capsys, seed, echoed):
     assert json.loads(out)["seed"] == echoed
 
 
-@pytest.mark.parametrize("seed", ["\u0667", "+7", " 7", "1_0", "-", ""])
+@pytest.mark.parametrize("seed", ["\u0667", "+7", " 7", "1_0", "-", "",
+                                  pytest.param("9" * 5000, id="5000_digits")])
 def test_verify_seed_takes_ascii_digits_only(capsys, seed):
-    # int() would read an Arabic-Indic seven, a sign, separators and spaces
+    # int() would read an Arabic-Indic seven, a sign, separators and spaces,
+    # and it refuses more than 4,300 digits with its own ValueError
     code, out, err = run(capsys, "verify", "--only", "codes", "--json", "--seed", seed)
     assert code == 2
     assert out == ""
     assert "usage:" in err and "--seed" in err and "Traceback" not in err
+    assert "invalid int value" in err
 
 
 def test_verify_codes_json_schema(capsys):
