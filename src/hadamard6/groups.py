@@ -13,16 +13,16 @@ BSGS.add, each new base point is the smallest point moved by the sifted
 residue that extends the chain, the search is FIFO breadth-first with
 generators in the order given, and no randomisation is used anywhere.
 
-Only closure and commutator (with conjugate), and the domain of hom_closure,
-take any immutable group elements supporting ``*``, ``.inverse()`` and
-hashing.  Elsewhere the elements are Permutations, a search labels its states
-with image bytes, and a * b^-1 on image bytes is computed in one place, _div.
+Only commutator (with conjugate) takes any immutable group elements
+supporting ``*``, ``.inverse()`` and hashing.  Elsewhere the elements are
+Permutations, a search labels its states with image bytes (closure and
+hom_closure their domain too), and a * b^-1 on image bytes is computed in one
+place, _div.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from operator import mul
 
 from .perms import _IDENT, Permutation
 
@@ -94,8 +94,9 @@ def conjugate(a, b):
 
 
 def closure(gens) -> list:
-    """All elements of <gens> in the order _schreier_search reaches them from
-    the identity under right multiplication, identity first.
+    """All elements of <gens>, Permutations of one degree, in the order
+    _image_search reaches them from the identity under right multiplication,
+    identity first.  It labels the domain with image bytes.
 
     Deterministic given generator order.  Raises ClosureCapError past
     _ENUMERATION_CAP.
@@ -103,8 +104,18 @@ def closure(gens) -> list:
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    e = gens[0] * gens[0].inverse()
-    return list(_schreier_search(gens, mul, {e: None}))
+    return [Permutation._raw(s) for s in _image_search(gens, None)]
+
+
+def _image_search(gens, label, on_edge=None, label_gens=None) -> dict:
+    """_schreier_search from the identity, labelled label, under right
+    multiplication by the Permutations gens (ValueError unless of one
+    degree), on image bytes: a product is one translate through a table."""
+    d = gens[0].degree
+    if any(g.degree != d for g in gens):
+        raise ValueError("degree mismatch among generators")
+    tables = [g.images + _IDENT[d:] for g in gens]
+    return _schreier_search(tables, bytes.translate, {_IDENT[:d]: label}, on_edge, label_gens)
 
 
 def _point_act(p: int, g: Permutation) -> int:
@@ -344,18 +355,18 @@ def action_kernel_order(bsgs: BSGS, block_map) -> int:
 
 def hom_closure(pairs) -> dict:
     """Extend generator pairs (g, image) to the full domain group by
-    _schreier_search over the Cayley graph; returns the table {g: image of g}.
-    The images are Permutations of one degree (ValueError otherwise), and the
-    search labels with their image bytes, wrapped as Permutations at return.
+    _image_search over the Cayley graph; returns the table {g: image of g}.
+    The generators, and the images, are Permutations of one degree each
+    (ValueError otherwise); the search labels the domain with image bytes,
+    and each element with its image's, wrapped as Permutations at return.
 
     Raises InconsistentImagesError when two words for the same element get
     different images (the data is not a homomorphism), and ClosureCapError
     when the domain exceeds _ENUMERATION_CAP.  Every element is taken from
     the queue and tried against every generator, so a finished table satisfies
     table[g * s] == table[g] * image(s) for every element g and generator s;
-    by induction on word length the table is multiplicative.  Its one caller
-    is outer, which closes both S6 automorphism tables from generator images;
-    brep proves its representation multiplicative on encodings instead.
+    by induction on word length the table is multiplicative.  outer closes
+    both S6 automorphism tables with it.
     """
     pairs = [(g, im) for g, im in pairs]
     if not pairs:
@@ -364,10 +375,9 @@ def hom_closure(pairs) -> dict:
     n = images[0].degree
     if any(im.degree != n for im in images):
         raise ValueError("degree mismatch among images")
-    e_dom = gens[0] * gens[0].inverse()
 
     def on_edge(hi, prev):
         raise InconsistentImagesError("generator images are not a homomorphism")
 
-    table = _schreier_search(gens, mul, {e_dom: _IDENT[:n]}, on_edge, images)
-    return {g: Permutation._raw(img) for g, img in table.items()}
+    table = _image_search(gens, _IDENT[:n], on_edge, images)
+    return {Permutation._raw(g): Permutation._raw(img) for g, img in table.items()}

@@ -6,10 +6,11 @@ Both automorphisms are 720-entry tables completed by hom_closure from two
 generator images: sigma sends the first projection of each element of
 Y = <tau1, tau2'> to its second, so its images are read off tau1 and tau2';
 the totals action is read off the action of (1,2) and (2,3,4,5,6) on the six
-totals.  That closure is the only enumeration of S6 here.  Bijectivity and
-inner-ness are checked over every entry; multiplicativity is proved by
-generator induction: the table must equal the closure of its own generator
-images.
+totals.  That closure is the only enumeration of S6 here.  Bijectivity is
+checked over every entry; multiplicativity is proved by generator induction:
+the table must equal the closure of its own generator images.  Inner-ness is
+decided by construction: the only possible conjugator h is read off the
+images of the five star transpositions (1,k), then checked on every entry.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cache
 
 from .autgroup import tau1, tau2prime
 from .groups import InconsistentImagesError, hom_closure
-from .perms import Permutation
+from .perms import _IDENT, Permutation
 
 
 class AutoTable:
@@ -80,19 +81,32 @@ def build_outer() -> AutoTable:
 
 
 def is_inner(t: AutoTable) -> Permutation | None:
-    """The conjugating element if the table is conjugation by one, else None."""
+    """The conjugating element if the table is conjugation by one, else None;
+    t's domain must be all of S6 (ValueError otherwise)."""
     return compare_up_to_inner(t, AutoTable({g: g for g in t.table}, ()))
 
 
 def compare_up_to_inner(t1: AutoTable, t2: AutoTable) -> Permutation | None:
-    """h with t1(g) = h^-1 t2(g) h for all g, if any.  The candidates h are
-    t2's domain; S6 has trivial center, so at most one h qualifies and the
-    order of the search cannot change the result."""
-    for h in t2.table:
-        hi = h.inverse()
-        if all(t1.apply(s) == hi * t2.apply(s) * h for s in t1.generators):
-            if all(t1.apply(g) == hi * t2.apply(g) * h for g in t1.table):
-                return h
+    """h with t1(g) = h^-1 t2(g) h for all g, if any; t2 must be a bijection
+    of S6 (ValueError otherwise).  Such an h makes t1 o t2^-1 conjugation by
+    h, which sends (1,k) to (1^h, k^h), so h is constructed, not searched
+    for: 1^h is the one point common to the images of the five (1,k), and k^h
+    the other point of the image of (1,k).  h is accepted only if
+    h t1(g) = t2(g) h on every entry, checked on image bytes."""
+    inv = {v.images: g for g, v in t2.table.items()}
+    if not t2.is_bijective() or any(len(v) != 6 for v in inv):
+        raise ValueError("t2 is not a bijection of S6")
+    stars = (inv[Permutation.parse(f"(1,{k})", 6).images] for k in range(2, 7))
+    moved = [[i for i, x in enumerate(t1.table[s].images) if i != x] for s in stars]
+    common = set(range(6)).intersection(*moved)
+    if any(len(m) != 2 for m in moved) or len(common) != 1:
+        return None
+    p = common.pop()
+    h = bytes([p] + [x + y - p for x, y in moved])
+    ht = h + _IDENT[6:]
+    if all(h.translate(v.images + _IDENT[6:]) == t2.table[g].images.translate(ht)
+           for g, v in t1.table.items()):
+        return Permutation(h)
     return None
 
 
@@ -104,12 +118,7 @@ def all_synthemes() -> tuple:
         if not points:
             return [()]
         a, rest = points[0], points[1:]
-        out = []
-        for b in rest:
-            remaining = tuple(p for p in rest if p != b)
-            for m in matchings(remaining):
-                out.append(((a, b),) + m)
-        return out
+        return [((a, b),) + m for b in rest for m in matchings(tuple(p for p in rest if p != b))]
 
     return tuple(sorted(matchings(tuple(range(6)))))
 
@@ -137,11 +146,7 @@ def sylvester_totals() -> tuple[tuple, ...]:
 
 def _transform_total(total: tuple, g: Permutation) -> tuple:
     img = g.images
-    out = []
-    for s in total:
-        duads = tuple(sorted(tuple(sorted((img[a], img[b]))) for a, b in s))
-        out.append(duads)
-    return tuple(sorted(out))
+    return tuple(sorted(tuple(sorted(tuple(sorted((img[a], img[b]))) for a, b in s)) for s in total))
 
 
 @cache
@@ -178,8 +183,8 @@ def verify_outer():
               True, is_inner(sigma.then(sigma)) is not None),
         check("transpositions_to_2_2_2", "the totals action sends every transposition to shape 2+2+2",
               True, all(
-                  totals_outer().apply(g).cycle_type() == (2, 2, 2)
-                  for g in totals_outer().table if g.cycle_type() == (2, 1, 1, 1, 1)
+                  totals_outer().apply(Permutation.parse(f"({i},{j})", 6)).cycle_type() == (2, 2, 2)
+                  for i in range(1, 7) for j in range(i + 1, 7)
               )),
         check("totals_outer_outer", "the totals action is also outer", None, is_inner(totals_outer())),
         check("conjugator_exists", "sigma and the totals action differ by an inner map",

@@ -70,7 +70,7 @@ def test_a02_group_orders_and_presentation():
     ok = ok and x0_bsgs().order() == 42_515_280
     ok = ok and n_subgroup().order == 59_049
     ok = ok and y_bsgs().order() == 720
-    meet = sum(1 for y in closure([tau1(), tau2prime()])
+    meet = sum(1 for y in map(XElement.from_perm36, closure([tau1().perm, tau2prime().perm]))
                if y.p.perm.is_identity() and y.q.perm.is_identity())
     ok = ok and meet == 1
     s = (tau1() * tau2prime()).to_perm36()

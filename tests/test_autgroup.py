@@ -631,7 +631,7 @@ def test_prop1_makes_one_matrix_product(monkeypatch):
 
 
 def test_y_order_against_brute_force_closure():
-    assert len(closure([tau1(), tau2prime()])) == 720
+    assert len(closure([tau1().perm, tau2prime().perm])) == 720
 
 
 def test_image_on_18_points_complements_the_kernel():

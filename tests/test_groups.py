@@ -1,12 +1,13 @@
 import ast
 import random
 from itertools import permutations as iter_permutations
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from hadamard6 import groups
-from hadamard6.autgroup import _phase_act, star, tau1, tau2, x_generators
+from hadamard6 import groups, outer
+from hadamard6.autgroup import _phase_act, compute_aut_linear, star, tau1, tau2, tau2prime, x_generators
 from hadamard6.groups import (
     ActionConsistencyError,
     BlockSystemError,
@@ -480,6 +481,76 @@ def test_hom_closure_cap(monkeypatch):
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", 100)
     with pytest.raises(ClosureCapError):
         hom_closure([(g, g) for g in gens])
+
+
+def _product_closure(gens):
+    # closure as it was written on Permutation products
+    e = gens[0] * gens[0].inverse()
+    return list(groups._schreier_search(gens, mul, {e: None}))
+
+
+def _product_hom_closure(pairs):
+    # hom_closure as it was written on Permutation products in the domain
+    gens, images = zip(*pairs)
+    e_dom = gens[0] * gens[0].inverse()
+
+    def on_edge(hi, prev):
+        raise InconsistentImagesError("generator images are not a homomorphism")
+
+    table = groups._schreier_search(gens, mul, {e_dom: _IDENT[:images[0].degree]}, on_edge, images)
+    return {g: Permutation._raw(img) for g, img in table.items()}
+
+
+def _enumeration_cases():
+    sigma = [(g.p.pi(), g.q.pi()) for g in (tau1(), tau2prime())]
+    totals = outer.totals_outer()
+    quotient = [g.p.pi() for g in compute_aut_linear().generators]
+    stabilizer = [tau1().to_perm36(), (tau2() * star()).to_perm36()]
+    return {
+        "sigma": (sigma, 720),
+        "totals": ([(s, totals.table[s]) for s in totals.generators], 720),
+        "quotient": ([(g, g) for g in quotient], 360),
+        "stabilizer": ([(g, g) for g in stabilizer], 2160),
+    }
+
+
+@pytest.mark.parametrize("name", ["sigma", "totals", "quotient", "stabilizer"])
+def test_image_byte_enumeration_matches_the_product_reference(name):
+    pairs, order = _enumeration_cases()[name]
+    gens = [g for g, _ in pairs]
+    elements = closure(gens)
+    assert len(elements) == order
+    assert elements == _product_closure(gens)
+    table = hom_closure(pairs)
+    assert list(table.items()) == list(_product_hom_closure(pairs).items())
+    assert all(type(g) is Permutation and type(v) is Permutation for g, v in table.items())
+
+
+def test_closure_and_hom_closure_make_no_product_per_edge(monkeypatch):
+    counts = {"mul": 0, "inverse": 0}
+    product, inverse = Permutation.__mul__, Permutation.inverse
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return product(a, b)
+
+    def counted_inverse(a):
+        counts["inverse"] += 1
+        return inverse(a)
+
+    gens = [Permutation.parse("(1,2)", 6), Permutation.parse("(2,3,4,5,6)", 6)]
+    monkeypatch.setattr(Permutation, "__mul__", counted_mul)
+    monkeypatch.setattr(Permutation, "inverse", counted_inverse)
+    assert len(closure(gens)) == len(hom_closure([(g, g) for g in gens])) == 720
+    assert counts == {"mul": 0, "inverse": 0}
+
+
+def test_hom_closure_rejects_a_domain_of_mixed_degree():
+    a, b = Permutation.parse("(1,2,3)", 3), Permutation.parse("(1,2)", 4)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        hom_closure([(a, a), (b, a)])
+    with pytest.raises(ValueError, match="degree mismatch"):
+        closure([a, b])
 
 
 def test_bsgs_strong_generators_all_members():

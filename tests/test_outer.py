@@ -1,7 +1,10 @@
+import random
 from itertools import combinations, permutations
 
+import pytest
+
 from hadamard6 import outer
-from hadamard6.autgroup import tau1, tau2prime
+from hadamard6.autgroup import XElement, tau1, tau2prime
 from hadamard6.groups import closure
 from hadamard6.outer import (
     AutoTable,
@@ -37,7 +40,7 @@ def test_sigma_generator_images():
 
 
 def test_sigma_maps_the_first_projection_of_y_to_the_second():
-    y = closure([tau1(), tau2prime()])
+    y = [XElement.from_perm36(g) for g in closure([tau1().perm, tau2prime().perm])]
     assert len(y) == 720
     assert len({g.p.pi() for g in y}) == 720
     sigma = build_outer()
@@ -125,6 +128,102 @@ def test_is_inner_on_actual_conjugations():
     assert is_inner(conjugation_table(Permutation.identity(6))).is_identity()
     h = p6("(1,2)")
     assert is_inner(conjugation_table(h)) == h
+
+
+def _search_up_to_inner(t1, t2):
+    # compare_up_to_inner as a search over t2's domain, the reference for the
+    # construction
+    for h in t2.table:
+        hi = h.inverse()
+        if all(t1.apply(s) == hi * t2.apply(s) * h for s in t1.generators):
+            if all(t1.apply(g) == hi * t2.apply(g) * h for g in t1.table):
+                return h
+    return None
+
+
+IDENTITY = AutoTable({g: g for g in S6}, ())
+
+
+def test_construction_equals_the_search_on_a_sample_of_conjugators():
+    sigma = build_outer()
+    sample = random.Random(27).sample(S6, 40)
+    for h in sample:
+        c = conjugation_table(h)
+        assert compare_up_to_inner(c, IDENTITY) == _search_up_to_inner(c, IDENTITY) == h
+        shifted = sigma.then(c)
+        assert compare_up_to_inner(shifted, sigma) == _search_up_to_inner(shifted, sigma) == h
+        assert compare_up_to_inner(sigma, c) is None
+        assert _search_up_to_inner(sigma, c) is None
+
+
+def test_verify_outer_inner_ness_results():
+    sigma = build_outer()
+    assert is_inner(sigma) is None
+    assert is_inner(sigma.then(sigma)) == Permutation.identity(6)
+    assert is_inner(totals_outer()) is None
+    assert compare_up_to_inner(sigma, totals_outer()) == p6("(1,4,6,2,5)")
+    assert _search_up_to_inner(sigma, totals_outer()) == p6("(1,4,6,2,5)")
+
+
+def test_compare_up_to_inner_rejects_a_t2_that_is_not_a_bijection_of_s6():
+    sigma = build_outer()
+    collapsed = AutoTable({g: Permutation.identity(6) for g in S6}, ())
+    with pytest.raises(ValueError, match="bijection"):
+        compare_up_to_inner(sigma, collapsed)
+    partial = AutoTable({g: g for g in S6[:360]}, ())
+    with pytest.raises(ValueError, match="bijection"):
+        compare_up_to_inner(sigma, partial)
+    seven = AutoTable({g: Permutation(g.images + b"\x06") for g in S6}, ())
+    with pytest.raises(ValueError, match="bijection"):
+        compare_up_to_inner(sigma, seven)
+
+
+def test_compare_up_to_inner_reads_off_no_h_from_a_t1_that_is_not_injective():
+    # sign: every star transposition goes to (1,2), so the five images share
+    # two points; merged: (1,3) goes to (1,2) as well as (1,2) does, so the
+    # images share only point 1, but the h read off them is not a bijection
+    # and fails the check on the entries
+    sign = {g: p6("(1,2)") if g.sign() < 0 else Permutation.identity(6) for g in S6}
+    merged = {g: g for g in S6}
+    merged[p6("(1,3)")] = p6("(1,2)")
+    for table in (sign, merged):
+        t = AutoTable(table, (p6("(1,2)"), p6("(2,3,4,5,6)")))
+        assert compare_up_to_inner(t, IDENTITY) is None
+        assert _search_up_to_inner(t, IDENTITY) is None
+
+
+def test_compare_up_to_inner_checks_the_constructed_h_on_every_entry():
+    # the stars still give h, but two swapped entries away from them break
+    # h t1(g) = t2(g) h there
+    h = p6("(1,3,5)(2,4)")
+    table = dict(conjugation_table(h).table)
+    a, b = p6("(1,2,3,4,5,6)"), p6("(1,6,5,4,3,2)")
+    table[a], table[b] = table[b], table[a]
+    t = AutoTable(table, (p6("(1,2)"), p6("(2,3,4,5,6)")))
+    assert compare_up_to_inner(t, IDENTITY) is None
+    assert _search_up_to_inner(t, IDENTITY) is None
+
+
+def test_verify_outer_makes_no_permutation_product_or_inverse(monkeypatch):
+    counts = {"mul": 0, "inverse": 0}
+    product, inverse = Permutation.__mul__, Permutation.inverse
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return product(a, b)
+
+    def counted_inverse(a):
+        counts["inverse"] += 1
+        return inverse(a)
+
+    tau1(), tau2prime()
+    # the uncached builders, so the tables are built under the counters
+    monkeypatch.setattr(outer, "build_outer", build_outer.__wrapped__)
+    monkeypatch.setattr(outer, "totals_outer", totals_outer.__wrapped__)
+    monkeypatch.setattr(Permutation, "__mul__", counted_mul)
+    monkeypatch.setattr(Permutation, "inverse", counted_inverse)
+    assert outer.verify_outer().passed
+    assert counts == {"mul": 0, "inverse": 0}
 
 
 def test_compare_up_to_inner():
