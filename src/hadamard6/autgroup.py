@@ -239,7 +239,9 @@ def x_generators() -> tuple[XElement, XElement, XElement]:
 
 @cache
 def x_bsgs() -> BSGS:
-    return bsgs_build([g.to_perm36() for g in x_generators()])
+    chain = x0_bsgs().copy()
+    chain.add(star().to_perm36())
+    return chain
 
 
 @cache

@@ -8,8 +8,8 @@ puncturing drops it to (5, 3, 3).
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import product
+from collections import Counter
+from functools import cache, cached_property
 
 from .matrices import H6_PHASES, row_basis
 
@@ -60,8 +60,19 @@ GF4_ZERO, GF4_ONE, GF4_X, GF4_X2 = GF4(0), GF4(1), GF4(2), GF4(3)
 GF4_ALL = (GF4_ZERO, GF4_ONE, GF4_X, GF4_X2)
 
 
+def _span(basis) -> list[int]:
+    """The span of basis in product(GF4_ALL, repeat=k)'s coefficient order, as
+    ints with coordinate i in bits 2i, 2i + 1, so a sum of words is XOR."""
+    words = [0]
+    for row in basis:
+        scaled = [sum(_MUL[c][v.value] << 2 * i for i, v in enumerate(row)) for c in range(4)]
+        words = [w ^ r for w in words for r in scaled]
+    return words
+
+
 class LinearCode:
-    """Linear code over GF(4) given by generator rows (reduced internally)."""
+    """Linear code over GF(4) given by generator rows (reduced internally),
+    whose words _span enumerates once, as ints, on first use."""
 
     def __init__(self, length: int, rows):
         rows = [tuple(r) for r in rows]
@@ -74,26 +85,22 @@ class LinearCode:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _words(self) -> list[int]:
+        return _span(self.basis)
+
     def codewords(self):
-        k = self.dimension
-        for coeffs in product(GF4_ALL, repeat=k):
-            word = [GF4_ZERO] * self.length
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    word = [w + c * v for w, v in zip(word, row)]
-            yield tuple(word)
+        for w in self._words:
+            yield tuple(GF4_ALL[w >> 2 * i & 3] for i in range(self.length))
 
     def min_distance(self) -> int:
         if self.dimension == 0:
             raise ValueError("the zero code has no minimum distance")
-        return min(sum(1 for v in w if v) for w in self.codewords() if any(w))
+        return min(filter(None, self.weight_distribution()))
 
     def weight_distribution(self) -> dict[int, int]:
-        dist: dict[int, int] = {}
-        for w in self.codewords():
-            weight = sum(1 for v in w if v)
-            dist[weight] = dist.get(weight, 0) + 1
-        return dict(sorted(dist.items()))
+        low = (4**self.length - 1) // 3  # the low bit of every coordinate
+        return dict(sorted(Counter(((w | w >> 1) & low).bit_count() for w in self._words).items()))
 
     def parameters(self) -> tuple[int, int, int]:
         return (self.length, self.dimension, self.min_distance())

@@ -1,4 +1,4 @@
-"""Permutation-group machinery: deterministic Schreier-Sims (base and strong
+"""Permutation-group machinery: incremental Schreier-Sims (base and strong
 generating set), orbit-stabilizer with Schreier generators over arbitrary
 hashable states, normal closures and derived subgroups, centers, simplicity
 for small groups, kernels of block actions, and generator-image closure for
@@ -51,10 +51,10 @@ _ENUMERATION_CAP = 10**6
 _UNSEEN = object()
 
 
-def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None) -> dict:
+def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None, known=0) -> dict:
     """Breadth-first search of the orbit of the states in labels (a dict
     state -> label, filled in place and returned) under act, with generators
-    in the order given.
+    in the order given.  The states already in labels skip gens[:known].
 
     With label_gens, Permutations of the labels' degree, a label is image
     bytes: a state first reached from s by gens[k] gets the image bytes of
@@ -65,11 +65,13 @@ def _schreier_search(gens, act, labels: dict, on_edge=None, label_gens=None) -> 
     """
     tables = [h.images + _IDENT[len(h.images):] for h in label_gens or ()]
     steps = list(zip(gens, tables or gens))
+    new_steps, old = steps[known:], len(labels)
     queue = deque(labels)
     while queue:
         s = queue.popleft()
         ls = labels[s]
-        for g, tg in steps:
+        old -= 1
+        for g, tg in new_steps if old >= 0 else steps:
             t = act(s, g)
             lt = labels.get(t, _UNSEEN)
             lsg = ls if label_gens is None else ls.translate(tg)
@@ -128,8 +130,8 @@ def _div(a: bytes, b: bytes) -> bytes:
     return a.translate(e.maketrans(b, e))
 
 
-def _schreier_transversal(gens, act, seed, keep) -> tuple[dict, list]:
-    """Transversal {s: image bytes of u_s} of seed's orbit under the
+def _schreier_transversal(gens, act, labels, keep, known=0) -> tuple[dict, list]:
+    """Transversal {s: image bytes of u_s} grown from labels under the
     Permutations gens, by _schreier_search, and the Schreier generators kept:
     each non-identity u_s * g * u_{s.g}^-1 goes to keep as a Permutation, in
     search order, and is kept when keep returns True."""
@@ -140,18 +142,22 @@ def _schreier_transversal(gens, act, seed, keep) -> tuple[dict, list]:
         if keep(candidate):
             kept.append(candidate)
 
-    return _schreier_search(gens, act, {seed: _IDENT[:gens[0].degree]}, on_edge, gens), kept
+    return _schreier_search(gens, act, labels, on_edge, gens, known), kept
 
 
 class BSGS:
-    """Base and strong generating set built by deterministic Schreier-Sims.
+    """Base and strong generating set built by incremental Schreier-Sims.
 
     The chain starts empty and grows by add, one generator at a time.  Level
     i's strong generators generate the pointwise stabilizer of base[:i], and
     transversal i maps each point of the orbit of base[i] to the image bytes
     of its transversal element; the product of the orbit sizes is the group
-    order.  Schreier generators that sift to the identity are discarded; the
-    others extend the chain (classical deterministic variant, no randomisation).
+    order.  A level is extended, never rebuilt: when a generator joins it,
+    old points meet only that generator and new points meet all, so each
+    (point, generator) pair is sifted once (Holt, Eick and O'Brien 2005,
+    sec. 4.4).  That is sound since old transversal entries, so their
+    Schreier generators, never change, and deeper levels only grow: one that
+    sifted to the identity stays a member.  The others extend the chain.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -163,7 +169,7 @@ class BSGS:
         self.degree = degree
         self.base: list[int] = []
         self._level_gens: list[list[Permutation]] = []
-        self._transversals: list[dict[int, bytes] | None] = []
+        self._transversals: list[dict[int, bytes]] = []
         for g in generators:
             self.add(g)
 
@@ -177,11 +183,12 @@ class BSGS:
         return Permutation._raw(img), len(self.base)
 
     def _schreier_sims(self, i: int) -> None:
-        # Precondition: levels > i are complete.  Postcondition: levels >= i are.
-        # One search builds transversal i and adds each non-identity Schreier
-        # generator as its edge is found; add touches only levels > i.
-        self._transversals[i], _ = _schreier_transversal(
-            self._level_gens[i], _point_act, self.base[i], lambda c: self.add(c, i))
+        # Precondition: levels > i are complete, and level i is but for its last
+        # generator; then all are.  The search extends transversal i, adding each
+        # new pair's non-identity Schreier generator; add touches only levels > i.
+        gens = self._level_gens[i]
+        _schreier_transversal(gens, _point_act, self._transversals[i],
+                              lambda c: self.add(c, i), len(gens) - 1)
 
     def add(self, g: Permutation, i: int = -1) -> bool:
         """Extend the chain by g, which must fix base[:i+1]; False if g is
@@ -195,12 +202,19 @@ class BSGS:
         if j == len(self.base):
             self.base.append(h.min_moved())
             self._level_gens.append([])
-            self._transversals.append(None)
+            self._transversals.append({self.base[-1]: _IDENT[:self.degree]})
         for k in range(i + 1, j + 1):
             self._level_gens[k].append(h)
         for k in range(j, i, -1):
             self._schreier_sims(k)
         return True
+
+    def copy(self) -> "BSGS":
+        """The same chain, sharing no list or dict with this one."""
+        chain = BSGS([], self.degree)
+        chain.base, chain._level_gens = self.base[:], [lvl[:] for lvl in self._level_gens]
+        chain._transversals = [T.copy() for T in self._transversals]
+        return chain
 
     def order(self) -> int:
         n = 1
@@ -270,7 +284,7 @@ def orbit_stabilizer(gens, act, seed, keep=None) -> OrbitStabilizer:
             seen.add(candidate)
             return True
 
-    reps, kept = _schreier_transversal(gens, act, seed, keep)
+    reps, kept = _schreier_transversal(gens, act, {seed: _IDENT[:gens[0].degree]}, keep)
     return OrbitStabilizer(orbit_size=len(reps), stabilizer_generators=kept)
 
 
@@ -306,25 +320,31 @@ def center_of(gens) -> list[Permutation]:
     return [g for g in elements if all(g * s == s * g for s in gens)]
 
 
+def _conjugacy_classes(gens) -> list[dict]:
+    """Conjugacy classes of <gens> in closure's order, identity's first: orbits
+    under conjugation by gens, keyed by image bytes; g^-1 a g is two translates."""
+    elements = closure(gens)
+    e = _IDENT[:gens[0].degree]
+    pad = _IDENT[len(e):]
+    conj = [(_div(e, g.images), g.images + pad) for g in gens]
+    classes, seen = [], set()
+    for el in elements:
+        if el.images not in seen:
+            classes.append(_schreier_search(
+                conj, lambda a, g: g[0].translate(a + pad).translate(g[1]), {el.images: None}))
+            seen.update(classes[-1])
+    return classes
+
+
 def is_simple_small(gens) -> bool:
     """Simplicity test for a permutation group small enough to enumerate
     (order <= _ENUMERATION_CAP): the normal closure of every nontrivial
     conjugacy class representative must have the order of the whole group."""
     gens = list(gens)
-    elements = closure(gens)
-    n = len(elements)
-    if n == 1:
-        return False
-    seen = set()
-    for el in elements:
-        if el in seen or el.is_identity():
-            seen.add(el)
-            continue
-        # conjugacy class of el: its orbit under conjugation by the generators
-        seen.update(_schreier_search(gens, conjugate, {el: None}))
-        if normal_closure(gens, [el]).order() != n:
-            return False
-    return True
+    classes = _conjugacy_classes(gens)
+    n = sum(map(len, classes))
+    return n > 1 and all(normal_closure(gens, [Permutation._raw(next(iter(cls)))]).order() == n
+                         for cls in classes[1:])
 
 
 def action_kernel_order(bsgs: BSGS, block_map) -> int:
@@ -333,19 +353,15 @@ def action_kernel_order(bsgs: BSGS, block_map) -> int:
     block_map sends each point to a block label; the label of p^g must depend
     only on the label of p, checked on all strong generators.
     """
-    degree = bsgs.degree
-    labels = sorted({block_map(p) for p in range(degree)})
-    index = {lab: i for i, lab in enumerate(labels)}
-    gens = bsgs.strong_generators()
+    labels = [block_map(p) for p in range(bsgs.degree)]
+    index = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+    blocks = [index[lab] for lab in labels]
     induced = []
-    for g in gens:
-        images: dict[int, int] = {}
-        for p in range(degree):
-            src = index[block_map(p)]
-            dst = index[block_map(g.apply(p))]
-            if images.setdefault(src, dst) != dst:
-                raise BlockSystemError("block system is not preserved")
-        induced.append(Permutation(tuple(images[i] for i in range(len(labels)))))
+    for g in bsgs.strong_generators():
+        images = dict(zip(blocks, (blocks[q] for q in g.images)))
+        if any(images[b] != blocks[q] for b, q in zip(blocks, g.images)):
+            raise BlockSystemError("block system is not preserved")
+        induced.append(Permutation(tuple(images[i] for i in range(len(index)))))
     image_order = bsgs_build(induced).order() if induced else 1
     total = bsgs.order()
     if total % image_order:

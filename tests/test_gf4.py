@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from hadamard6.gf4 import GF4, GF4_ALL, GF4_ONE, GF4_X, GF4_X2, GF4_ZERO, LinearCode, h6_code
+from hadamard6 import gf4
+from hadamard6.gf4 import GF4, GF4_ALL, GF4_ONE, GF4_X, GF4_X2, GF4_ZERO, LinearCode, h6_code, verify_codes
 
 
 def test_field_axioms_exhaustively():
@@ -87,3 +88,54 @@ def test_zero_code_has_no_distance():
     assert code.dimension == 0
     with pytest.raises(ValueError):
         code.min_distance()
+
+
+def _reference_codewords(code):
+    """The span enumerated with GF4 arithmetic over product(GF4_ALL, repeat=k)."""
+    words = []
+    for coeffs in product(GF4_ALL, repeat=code.dimension):
+        word = (GF4_ZERO,) * code.length
+        for c, row in zip(coeffs, code.basis):
+            word = tuple(w + c * v for w, v in zip(word, row))
+        words.append(word)
+    return words
+
+
+def _codes_of_verify_codes():
+    code = h6_code()
+    return {"h6": code, "alternate": h6_code(alternate_generator=True),
+            **{f"puncture{c}": code.puncture(c) for c in range(1, 7)}}
+
+
+@pytest.mark.parametrize("name", ["h6", "alternate"] + [f"puncture{c}" for c in range(1, 7)])
+def test_codewords_match_the_gf4_reference_and_are_enumerated_once(name, monkeypatch):
+    calls = []
+    span = gf4._span
+    monkeypatch.setattr(gf4, "_span", lambda basis: calls.append(basis) or span(basis))
+    cached = _codes_of_verify_codes()[name]
+    code = LinearCode(cached.length, cached.basis)  # fresh, so nothing is enumerated yet
+    reference = _reference_codewords(code)
+    weights = {}
+    for w in reference:
+        weight = sum(1 for v in w if v)
+        weights[weight] = weights.get(weight, 0) + 1
+    assert list(code.codewords()) == reference
+    assert len(set(reference)) == 4**code.dimension
+    assert code.weight_distribution() == dict(sorted(weights.items()))
+    assert code.min_distance() == min(k for k in weights if k)
+    assert code.parameters() == (code.length, 3, 4 if code.length == 6 else 3)
+    assert list(code.codewords()) == reference
+    assert len(calls) == 1
+
+
+def test_verify_codes_enumerates_each_code_once(monkeypatch):
+    calls = []
+    span = gf4._span
+    monkeypatch.setattr(gf4, "_span", lambda basis: calls.append(basis) or span(basis))
+    h6_code.cache_clear()
+    try:
+        assert verify_codes().passed
+    finally:
+        h6_code.cache_clear()
+    # the code, its six punctures and the alternate code
+    assert len(calls) == 8

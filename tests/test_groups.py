@@ -7,7 +7,17 @@ from pathlib import Path
 import pytest
 
 from hadamard6 import groups, outer
-from hadamard6.autgroup import _phase_act, compute_aut_linear, star, tau1, tau2, tau2prime, x_generators
+from hadamard6.autgroup import (
+    _phase_act,
+    compute_aut_linear,
+    star,
+    tau1,
+    tau2,
+    tau2prime,
+    x0_bsgs,
+    x_bsgs,
+    x_generators,
+)
 from hadamard6.groups import (
     ActionConsistencyError,
     BlockSystemError,
@@ -256,17 +266,84 @@ class _TwoPassBSGS(BSGS):
                     self.add(sg, i)
 
 
-@pytest.mark.parametrize("name", ["x", "s7"])
-def test_one_pass_schreier_sims_matches_the_two_pass_chain(name):
-    if name == "x":
-        gens = [g.to_perm36() for g in x_generators()]
-    else:
-        gens = [Permutation.parse("(1,2,3,4,5,6,7)", 7), Permutation.parse("(1,2)", 7)]
-    new, old = BSGS(gens), _TwoPassBSGS(gens)
-    assert new.base == old.base
-    assert new.strong_generators() == old.strong_generators()
-    assert new._transversals == old._transversals
-    assert [list(T) for T in new._transversals] == [list(T) for T in old._transversals]
+A7 = [Permutation.parse("(1,2,3)", 7), Permutation.parse("(3,4,5,6,7)", 7)]
+
+
+def _x_perms():
+    return [g.to_perm36() for g in x_generators()]
+
+
+def _assert_valid_chain(chain):
+    """Level i's generators fix base[:i], transversal i maps base[i] to each
+    of its points, and those points are closed under the level's generators."""
+    e = _IDENT[:chain.degree]
+    for i, (b, gens, T) in enumerate(zip(chain.base, chain._level_gens, chain._transversals)):
+        assert gens and all(g.images[chain.base[j]] == chain.base[j] for g in gens for j in range(i))
+        assert T[b] == e
+        assert all(u[b] == p for p, u in T.items())
+        assert all(g.images[p] in T for g in gens for p in T)
+
+
+@pytest.mark.parametrize("kind", [BSGS, _TwoPassBSGS], ids=["incremental", "two_pass"])
+def test_schreier_sims_decides_membership_in_a7(kind):
+    chain = kind(A7)
+    _assert_valid_chain(chain)
+    assert chain.order() == 2520
+    for images in iter_permutations(range(7)):
+        g = Permutation(images)
+        assert chain.contains(g) == (g.sign() == 1)
+
+
+@pytest.mark.parametrize("kind", [BSGS, _TwoPassBSGS], ids=["incremental", "two_pass"])
+def test_schreier_sims_decides_membership_in_x(kind):
+    gens = _x_perms()
+    chain = kind(gens)
+    _assert_valid_chain(chain)
+    assert chain.order() == 85_030_560
+    # every non-identity element of X moves at least one whole block of three
+    # points (a row or column index with its three phases), so no
+    # transposition lies in X, nor does a member times a transposition
+    rng = random.Random(29)
+    for _ in range(25):
+        g = Permutation.identity(36)
+        for _ in range(rng.randrange(1, 40)):
+            g = g * rng.choice(gens)
+        assert chain.contains(g)
+        p, q = rng.sample(range(36), 2)
+        t = Permutation(tuple(q if i == p else p if i == q else i for i in range(36)))
+        assert not chain.contains(g * t)
+
+
+def test_building_x_sifts_each_schreier_generator_once(monkeypatch):
+    calls = []
+    strip = BSGS._strip
+
+    def counted_strip(self, g, start):
+        calls.append(start)
+        return strip(self, g, start)
+
+    monkeypatch.setattr(BSGS, "_strip", counted_strip)
+    chain = BSGS(_x_perms())
+    pairs = sum(len(T) * len(gens) for T, gens in zip(chain._transversals, chain._level_gens))
+    # the three generators, plus one sift for each (point, generator) pair
+    # that is not a tree edge of its level's search
+    assert len(calls) <= pairs == 413
+
+
+def test_x_chain_extends_the_x0_chain():
+    x, x0 = x_bsgs(), x0_bsgs()
+    fresh_x, fresh_x0 = BSGS(_x_perms()), BSGS(_x_perms()[:2])
+    for chain, fresh in ((x, fresh_x), (x0, fresh_x0)):
+        assert chain.base == fresh.base
+        assert chain.strong_generators() == fresh.strong_generators()
+        assert chain._level_gens == fresh._level_gens
+        assert [list(T.items()) for T in chain._transversals] == \
+            [list(T.items()) for T in fresh._transversals]
+    assert x.order() == 85_030_560 and x0.order() == 42_515_280
+    assert x.base is not x0.base
+    for mine, theirs in ((x._level_gens, x0._level_gens), (x._transversals, x0._transversals)):
+        assert mine is not theirs
+        assert all(a is not b for a, b in zip(mine, theirs))
 
 
 def test_bsgs_on_x_makes_no_permutation_product_or_inverse(monkeypatch):
@@ -324,10 +401,14 @@ def test_sift_follows_a_rebuilt_transversal():
     chain = bsgs_build([c])
     for g in s6:
         chain._strip(g, 0)  # sift through the cyclic chain before it grows
-    # extend level 0 by a reflection: the dihedral group of order 12 reaches
-    # point 5 through t where the cyclic chain used c^4
+    # extend level 0 by a reflection: the cyclic chain's transversal already
+    # holds all six points, so its entries are kept as they were, and only
+    # the pairs (point, t) are tried, which add t's Schreier generators to a
+    # new level
+    before = list(chain._transversals[0].items())
     chain._level_gens[0].append(t)
     chain._schreier_sims(0)
+    assert list(chain._transversals[0].items()) == before
     dihedral = set(closure([c, t]))
     assert chain.order() == len(dihedral) == 12
     for g in s6:
@@ -394,6 +475,25 @@ def test_is_simple_small():
     assert not is_simple_small(s4)
     c3 = [Permutation.parse("(1,2,3)", 3)]
     assert is_simple_small(c3)
+    a6 = [Permutation.parse("(1,2,3,4,5)", 6), Permutation.parse("(4,5,6)", 6)]
+    a4 = [Permutation.parse("(1,2,3)", 4), Permutation.parse("(2,3,4)", 4)]
+    assert [len(closure(a6)), len(closure(a4))] == [360, 12]
+    assert is_simple_small(a6)
+    assert not is_simple_small(a4)
+
+
+def test_conjugacy_classes_on_image_bytes_match_the_product_reference():
+    s4 = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]
+    quotient = [g.p.pi() for g in compute_aut_linear().generators]
+    for gens, sizes in ((s4, [1, 3, 6, 6, 8]), (quotient, [1, 40, 40, 45, 72, 72, 90])):
+        classes = groups._conjugacy_classes(gens)
+        assert sorted(map(len, classes)) == sizes
+        elements = closure(gens)
+        assert next(iter(classes[0])) == elements[0].images
+        for cls in classes:
+            rep = Permutation._raw(next(iter(cls)))
+            assert set(map(Permutation._raw, cls)) == {conjugate(rep, g) for g in elements}
+            assert all(type(a) is bytes and len(a) == gens[0].degree for a in cls)
 
 
 def test_commutator_convention():
