@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
-from .eisenstein import E_ONE, OMEGA, OMEGA2, EisensteinRational
+from .eisenstein import EisensteinRational
 from .groups import (
     BSGS,
     action_kernel_order,
@@ -42,7 +42,7 @@ from .groups import (
     normal_closure,
     orbit_stabilizer,
 )
-from .matrices import H6_PHASES, ExactMatrix, h6, row_basis
+from .matrices import H6_PHASES, ExactMatrix, h6, orthogonal_exponents, row_basis
 from .monomial import MonomialMatrix
 from .perms import Permutation
 from .report import Clause, Report, check
@@ -323,6 +323,10 @@ def _phase_map(images: bytes) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return tuple(source), s, tuple(shift)
 
 
+# the phase state of h6()
+_H6_STATE = tuple(h for row in H6_PHASES for h in row)
+
+
 def _phase_act(h: tuple, g: Permutation) -> tuple:
     """The exponent vector of H^g from that of H (see _phase_map)."""
     source, s, shift = _phase_map(g.images)
@@ -411,18 +415,17 @@ def compute_aut_star() -> Stabilizer:
     neither factor is taken from |X|.  Each returned generator must fix h6()
     under the exact matrix action."""
     H = h6()
-    seed = tuple(h for row in H6_PHASES for h in row)
     cosets = _VCosets(n.perm for n in n_subgroup().generators)
     gens = [g.to_perm36() for g in x_generators()]
     if not all(map(cosets.invariant_under, gens)):
         raise AssertionError("X does not map the translations of N into their span")
-    orbit = orbit_stabilizer(gens, lambda s, g: cosets.canon(_phase_act(s, g)), cosets.canon(seed))
+    orbit = orbit_stabilizer(gens, lambda s, g: cosets.canon(_phase_act(s, g)), cosets.canon(_H6_STATE))
     kept = []
     for s in orbit.stabilizer_generators:
-        n = cosets.untranslate(_difference(_phase_act(seed, s), seed))
+        n = cosets.untranslate(_difference(_phase_act(_H6_STATE, s), _H6_STATE))
         if n is None:
             raise AssertionError("a Schreier generator moves h6() off its coset")
-        if _phase_act(seed, s * n) != seed:
+        if _phase_act(_H6_STATE, s * n) != _H6_STATE:
             raise AssertionError("a lifted Schreier generator does not fix h6()")
         kept.append(s * n)
     kept += cosets.kernel
@@ -495,20 +498,22 @@ def _diag_pair(p_phases, q_phases) -> XElement:
 
 def verify_prop1() -> Report:
     clauses: list[Clause] = []
-    H = h6()
 
-    # Multiplying entry (i, j) by w^k moves the inner product of row i with
-    # row i - 1 from 0 to (w^k - 1) H_ij conj(H_(i-1)j), so one nonzero sum
-    # refutes each change.  The second row must differ from row i: a row's
-    # product with itself is a sum of squared moduli, nonzero for any matrix.
-    rows = [[H.entry(i, t) for t in range(6)] for i in range(6)]
-    mutations_fail = all(
-        sum(x * y.conj() for x, y in zip(rows[i][:j] + [rows[i][j] * w] + rows[i][j + 1:], rows[i - 1]))
-        for i, j, w in product(range(6), range(6), (OMEGA, OMEGA2))
+    # Cube-root entries are unimodular, so H dagger(H) has 6 on its diagonal,
+    # and it is 6I exactly when the 15 row pairs are orthogonal.  Multiplying
+    # entry (i, j) by w^k moves one entry of the exponent difference of rows i
+    # and i - 1 by k, and the difference then no longer holds each residue
+    # twice.  The second row must differ from row i: a row's difference with
+    # itself is 0 everywhere, which fails the count for any matrix.
+    rows = H6_PHASES
+    orthogonal = all(orthogonal_exponents(a, b) for a, b in combinations(rows, 2))
+    mutations_fail = not any(
+        orthogonal_exponents(rows[i][:j] + ((rows[i][j] + k) % 3,) + rows[i][j + 1:], rows[i - 1])
+        for i, j, k in product(range(6), range(6), (1, 2))
     )
     clauses.append(
         check("h6_hadamard", "H dagger(H) = 6I exactly, and no single-entry change survives",
-              True, H.is_hadamard() and mutations_fail)
+              True, orthogonal and mutations_fail)
     )
 
     clauses.append(check("order_X", "group order of <tau1, tau2, *>", 85_030_560, x_bsgs().order()))
@@ -549,13 +554,11 @@ def verify_prop1() -> Report:
               True, all(r.is_identity() for r in relators))
     )
 
-    dets = []
-    for g in (tau1(), tau2()):
-        dets.append(g.p.det())
-        dets.append(g.q.det())
+    # det(D K) = sign(K) w^(sum of D's exponents), which is +-1 exactly when
+    # that sum is 0 mod 3
     clauses.append(
-        check("component_determinants", "generator components have determinant +-1",
-              True, all(d == E_ONE or d == -E_ONE for d in dets))
+        check("component_determinants", "generator components have determinant +-1", True,
+              all(sum(m.phases) % 3 == 0 for g in (tau1(), tau2()) for m in (g.p, g.q)))
     )
 
     word = n_element(3) * n_element(4) * n_element(4) * n_element(5) * n_element(5)
@@ -601,10 +604,9 @@ def verify_prop2() -> Report:
     clauses.append(check("commutator_tau2_star", "[tau2, *] is the stated diagonal pair",
                          str(expected_comm), str(comm)))
 
-    H = h6()
     clauses.append(
         check("sylow_fix_h6", "the Sylow-3 generators x, y fix H", True,
-              sylow_x().act(H) == H and sylow_y().act(H) == H)
+              all(_phase_act(_H6_STATE, g.perm) == _H6_STATE for g in (sylow_x(), sylow_y())))
     )
     clauses.append(check("sylow_commutator", "[x, y] = (wI, wI)",
                          str(omega_pair()), str(commutator(sylow_x(), sylow_y()))))

@@ -14,10 +14,6 @@ from .eisenstein import OMEGA_POWERS, EisensteinRational, SplitQuaternion
 _RINGS = (EisensteinRational, SplitQuaternion)
 
 
-class NonUnimodularEntryError(ValueError):
-    """An entry fails entry * conj(entry) = 1."""
-
-
 class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "ring")
 
@@ -82,24 +78,6 @@ class ExactMatrix:
         e = self.entries
         out = tuple(e[i * self.cols + j].conj() for j in range(self.cols) for i in range(self.rows))
         return ExactMatrix._raw(self.cols, self.rows, out, self.ring)
-
-    def is_hadamard(self) -> bool:
-        """Exactly A * dagger(A) == n * I, for a square matrix over Q(w).
-
-        Nonzero entries must be unimodular (reported distinctly otherwise);
-        zero entries simply make the product check fail.
-        """
-        if self.rows != self.cols:
-            raise ValueError("non-square matrix")
-        if self.ring is not EisensteinRational:
-            raise ValueError("ring must be Q(w)")
-        one = EisensteinRational.one()
-        for e in self.entries:
-            if e and e * e.conj() != one:
-                raise NonUnimodularEntryError(f"entry {e} is not unimodular")
-        n = self.rows
-        target = ExactMatrix.identity(n).scaled(n)
-        return self @ self.dagger() == target
 
     def scaled(self, c: int) -> "ExactMatrix":
         """Scale by an integer, which is central in both rings."""
@@ -179,6 +157,16 @@ H6_PHASES = (
     (0, 2, 2, 1, 0, 1),
     (0, 1, 2, 2, 1, 0),
 )
+
+
+def orthogonal_exponents(a, b) -> bool:
+    """Whether rows of cube roots with exponent vectors a and b are
+    orthogonal.  Their inner product sum w^(a_k - b_k) is c0 + c1 w + c2 w^2,
+    with c_r the number of k where a_k - b_k = r mod 3, and since
+    1 + w + w^2 = 0 and 1, w are independent over Q it is 0 exactly when
+    c0 = c1 = c2 (Butson, Proc. AMS 13, 1962)."""
+    d = [(x - y) % 3 for x, y in zip(a, b)]
+    return d.count(0) == d.count(1) == d.count(2)
 
 
 @cache

@@ -18,13 +18,7 @@ entries append a B suffix, so the unit w^a * B prints as "wB", "w2B" or "B".
 
 from __future__ import annotations
 
-from .eisenstein import (
-    E_ZERO,
-    OMEGA_POWERS,
-    SQ_ZERO,
-    EisensteinRational,
-    SplitQuaternion,
-)
+from .eisenstein import E_ZERO, OMEGA_POWERS, SQ_ZERO, SplitQuaternion
 from .matrices import ExactMatrix
 from .perms import Permutation
 
@@ -95,10 +89,6 @@ class MonomialMatrix:
 
     def to_matrix(self) -> ExactMatrix:
         return _dense_dk([OMEGA_POWERS[p] for p in self.phases], self.perm, E_ZERO)
-
-    def det(self) -> EisensteinRational:
-        val = OMEGA_POWERS[sum(self.phases) % 3]
-        return val if self.perm.sign() == 1 else -val
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMatrix):

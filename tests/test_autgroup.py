@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -26,7 +27,7 @@ from hadamard6.autgroup import (
     x_bsgs,
     y_bsgs,
 )
-from hadamard6.eisenstein import E_ONE, EisensteinRational
+from hadamard6.eisenstein import E_ONE, E_ZERO, OMEGA_POWERS, EisensteinRational
 from hadamard6.groups import bsgs_build, center_of, closure, commutator, conjugate, orbit_stabilizer
 from hadamard6.matrices import ExactMatrix, H6_PHASES, h6
 from hadamard6.monomial import MonomialMatrix
@@ -554,10 +555,39 @@ def test_intertwining_over_the_complex_subfield():
         assert H @ g.q.to_matrix() == g.p.to_matrix() @ H
 
 
+def _leibniz_det(m: ExactMatrix):
+    """The determinant of a 6x6 matrix over Q(w) by the Leibniz formula."""
+    total = E_ZERO
+    for sigma in permutations(range(6)):
+        term = E_ONE
+        for i, j in enumerate(sigma):
+            term = term * m.entry(i, j)
+        total = total + term * Permutation(sigma).sign()
+    return total
+
+
 def test_component_determinants_are_signs():
-    for g in (tau1(), tau2()):
-        for m in (g.p, g.q):
-            assert m.det() in (E_ONE, -E_ONE)
+    # verify_prop1 reads det(D K) = sign(K) w^(sum of D's exponents) as +-1
+    # exactly when that sum is 0 mod 3; the rule is checked against the
+    # dense determinant on the generators' components and on random ones
+    rng = random.Random(5)
+    components = [m for g in (tau1(), tau2()) for m in (g.p, g.q)]
+    for m in components:
+        assert sum(m.phases) % 3 == 0
+    for _ in range(8):
+        images = list(range(6))
+        rng.shuffle(images)
+        components.append(MonomialMatrix([rng.randrange(3) for _ in range(6)], Permutation(tuple(images))))
+    for m in components:
+        det = _leibniz_det(m.to_matrix())
+        assert det == OMEGA_POWERS[sum(m.phases) % 3] * m.perm.sign()
+        assert (det in (E_ONE, -E_ONE)) == (sum(m.phases) % 3 == 0)
+
+
+def test_component_determinants_fails_for_a_non_unimodular_component(monkeypatch):
+    verify_prop1()  # cache the chains before tau2 is replaced
+    monkeypatch.setattr(autgroup, "tau2", lambda: autgroup._diag_pair((1, 0, 0, 0, 0, 0), (0,) * 6))
+    assert "component_determinants" in _failed_clauses(verify_prop1())
 
 
 def test_group_orders():
@@ -615,19 +645,24 @@ def test_s6_presentation_fails_for_tau2_in_place_of_tau2prime(monkeypatch):
     assert "s6_presentation" in _failed_clauses(verify_prop1())
 
 
-def test_prop1_makes_one_matrix_product(monkeypatch):
-    # H dagger(H) itself; each single-entry change is refuted by an inner
-    # product of two rows, not by a product of changed matrices
+def test_prop1_and_prop2_make_no_exact_products(monkeypatch):
+    # prop1 reads H's rows and the determinants off exponents, and prop2's
+    # one dense check is compute_aut_star's, which is cached here
+    compute_aut_star()
     calls = []
-    matmul = ExactMatrix.__matmul__
 
-    def counting(self, other):
-        calls.append(other)
-        return matmul(self, other)
+    def counting(original):
+        def wrapper(self, other):
+            calls.append(original)
+            return original(self, other)
+        return wrapper
 
-    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    for cls, names in ((ExactMatrix, ("__matmul__",)), (EisensteinRational, ("__mul__", "__rmul__"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     assert verify_prop1().passed
-    assert len(calls) == 1
+    assert verify_prop2().passed
+    assert calls == []
 
 
 def test_y_order_against_brute_force_closure():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from hadamard6.eisenstein import (
 )
 from hadamard6.autgroup import _GF3, _gf3_span_size
 from hadamard6.gf4 import GF4_ALL, GF4_ZERO
-from hadamard6.matrices import ExactMatrix, NonUnimodularEntryError, h6, row_basis
+from hadamard6.matrices import H6_PHASES, ExactMatrix, h6, orthogonal_exponents, row_basis
 
 integers = st.integers(min_value=-9, max_value=9)
 eisenstein = st.builds(EisensteinRational, integers, integers)
@@ -99,11 +99,11 @@ def test_matmul_errors():
         a @ ExactMatrix.identity(2, SplitQuaternion)
 
 
-def test_is_hadamard_true_and_false():
-    assert h6().is_hadamard()
-    assert not ExactMatrix.identity(6).is_hadamard()
+def test_is_hadamard_true_and_false(dense_hadamard):
+    assert dense_hadamard(h6())
+    assert not dense_hadamard(ExactMatrix.identity(6))
     ones = ExactMatrix(6, 6, [E_ONE] * 36)
-    assert not ones.is_hadamard()
+    assert not dense_hadamard(ones)
 
 
 def _changed(H, i, j, value):
@@ -113,26 +113,28 @@ def _changed(H, i, j, value):
     return ExactMatrix(H.rows, H.cols, entries)
 
 
-def test_is_hadamard_fails_for_every_single_entry_mutation():
-    # the full product check is the reference for verify_prop1's certificates
+def test_is_hadamard_fails_for_every_single_entry_mutation(dense_hadamard):
+    # the dense product and the exponent rows both refute each of the 72
+    # changes verify_prop1 counts
     H = h6()
     for i in range(6):
         for j in range(6):
             for k in (1, 2):
                 mutated = _changed(H, i, j, H.entry(i, j) * OMEGA_POWERS[k])
-                assert not mutated.is_hadamard()
+                assert not dense_hadamard(mutated)
+                rows = [list(r) for r in H6_PHASES]
+                rows[i][j] = (rows[i][j] + k) % 3
+                assert not all(orthogonal_exponents(a, b) for a, b in combinations(rows, 2))
 
 
-def test_is_hadamard_reports_non_unimodular_entry_distinctly():
-    bad = _changed(h6(), 0, 0, EisensteinRational(2))
-    with pytest.raises(NonUnimodularEntryError):
-        bad.is_hadamard()
-
-
-def test_is_hadamard_rejects_non_square():
-    m = ExactMatrix(2, 3, [E_ONE] * 6)
-    with pytest.raises(ValueError):
-        m.is_hadamard()
+def test_orthogonal_exponents_matches_the_eisenstein_sum():
+    # only a - b enters the inner product, so the 3^6 differences d, each
+    # taken against two rows b, cover every pair of cube-root rows
+    for d in product(range(3), repeat=6):
+        zero_sum = not sum((OMEGA_POWERS[k] for k in d), E_ZERO)
+        for b in ((0,) * 6, H6_PHASES[2]):
+            a = tuple((x + y) % 3 for x, y in zip(d, b))
+            assert orthogonal_exponents(a, b) == zero_sum
 
 
 def test_mixed_ring_entries_rejected():

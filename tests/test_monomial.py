@@ -104,13 +104,6 @@ def test_text_round_trip():
     assert str(MonomialMatrix((0, 0, 1, 2, 2, 1), Permutation.parse("(1,2)", 6))) == "[1,1,w,w2,w2,w](1,2)"
 
 
-def test_det():
-    assert MonomialMatrix.identity(6).det() == E_ONE
-    assert MonomialMatrix((0,) * 6, Permutation.parse("(1,2)", 6)).det() == -E_ONE
-    assert MonomialMatrix.diagonal((1, 2, 0, 0, 0, 0)).det() == E_ONE
-    assert MonomialMatrix.diagonal((1, 0, 0, 0, 0, 0)).det() == OMEGA
-
-
 # --- B-monomial matrices ---------------------------------------------------
 
 
