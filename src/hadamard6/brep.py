@@ -35,8 +35,9 @@ from collections import namedtuple
 from functools import cache
 
 from .autgroup import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
-from .eisenstein import E_ZERO, OMEGA_POWERS, EisensteinRational, SplitQuaternion
-from .matrices import ExactMatrix, h6, row_basis
+from .eisenstein import SplitQuaternion
+from .groups import _point_act, _schreier_search
+from .matrices import ExactMatrix, h6
 from .monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
 from .perms import Permutation
 from .report import Clause, Report, check
@@ -94,19 +95,25 @@ def verify_intertwining(g: XElement) -> bool:
 
 
 def commutant_dimension() -> int:
-    """Dimension over Q(w) of the matrices X with XP = PX for the first component
-    P = D*K of every eps = 0 stabilizer generator; 1 means scalars only."""
-    n = 6
-    rows: list[list[EisensteinRational]] = []
-    for g in compute_aut_linear().generators:
-        d, img = g.p.phases, g.p.perm.images
-        for i in range(n):
-            for m in range(n):
-                row = [E_ZERO] * (n * n)
-                row[i * n + m] = OMEGA_POWERS[d[m]]  # (XP)[i][m^K] = X[i][m] w^d_m
-                row[img[i] * n + img[m]] -= OMEGA_POWERS[d[i]]  # (PX)[i][m^K] = w^d_i X[i^K][m^K]
-                rows.append(row)
-    return n * n - len(row_basis(rows))
+    """Commutant dimension of the eps = 0 generators' first components; 1 means scalars only."""
+    return _commutant_dimension([g.p for g in compute_aut_linear().generators])
+
+
+def _commutant_dimension(components) -> int:
+    """Dimension over Q(w) of the X with XP = PX for each P = D*K in components,
+    D = diag(w^d), as an orbit count.  X[i^K][m^K] = w^(d_m - d_i) X[i][m], so the
+    state 36a + 6i + m, for X[i][m] = w^a c, goes to (i^K, m^K, a + d_m - d_i); an
+    orbit meeting an entry twice forces c = 0, as w^a = 1 only when 3 divides a."""
+    lifts = [Permutation(36 * ((a + d[m] - d[i]) % 3) + 6 * k[i] + k[m]
+                         for a in range(3) for i in range(6) for m in range(6))
+             for d, k in ((p.phases, p.perm.images) for p in components)]
+    unseen, dimension = set(range(36)), 0
+    while unseen:
+        orbit = _schreier_search(lifts, _point_act, {min(unseen): None})
+        entries = {s % 36 for s in orbit}
+        unseen -= entries
+        dimension += len(entries) == len(orbit)
+    return dimension
 
 
 def verify_theorem() -> Report:

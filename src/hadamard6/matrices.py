@@ -128,9 +128,8 @@ def row_basis(rows) -> list[tuple]:
     since such a row is zero at every earlier lead and is never touched.
 
     Unlike Bareiss's elimination (Math. Comp. 22, 1968) nothing is divided out
-    afterwards, so entries can grow with each cross-multiplication on general
-    input; on commutant_dimension's two-term system over Z[w] no component of a
-    reduced row exceeds 2 in absolute value, nor 1 in a kept basis row.
+    afterwards, so over a general domain entries can grow with each
+    cross-multiplication; verify passes it only GF(3) and GF(4) rows.
     """
     basis: list[tuple] = []
     leads: list[int] = []

@@ -82,10 +82,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, i: int) -> int:
-        """Image of the 0-based point i."""
-        return self.images[i]
-
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -142,13 +138,6 @@ class Permutation:
         lengths = [len(c) for c in self.cycles()]
         lengths += [1] * (len(self.images) - sum(lengths))
         return tuple(sorted(lengths, reverse=True))
-
-    def sign(self) -> int:
-        s = 1
-        for c in self.cycles():
-            if len(c) % 2 == 0:
-                s = -s
-        return s
 
     def min_moved(self):
         for i, j in enumerate(self.images):

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -16,6 +15,7 @@ from hadamard6.autgroup import (
 )
 from hadamard6.brep import (
     BRepElement,
+    _commutant_dimension,
     b_rep,
     commutant_dimension,
     verify_intertwining,
@@ -23,8 +23,8 @@ from hadamard6.brep import (
 )
 from hadamard6.eisenstein import EisensteinRational, SplitQuaternion
 from hadamard6.groups import BSGS
-from hadamard6.matrices import ExactMatrix, h6
-from hadamard6.monomial import MonomialBMatrix, b_pair_perm36
+from hadamard6.matrices import ExactMatrix, h6, row_basis
+from hadamard6.monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
 from hadamard6.perms import Permutation
 
 # (a, r) -> (-a, r) on both halves of the 36 points
@@ -163,38 +163,57 @@ def test_commutant_is_one_dimensional():
     assert commutant_dimension() == 1
 
 
-def test_commutant_rows_match_the_dense_commutator_system(monkeypatch):
-    # the two-term rows are exactly the rows of XA - AX = 0 built from the
-    # dense matrices A of the first components, up to order
-    captured = []
-    real = brep.row_basis
-
-    def capture(rows):
-        rows = [tuple(r) for r in rows]
-        captured.extend(rows)
-        return real(rows)
-
-    monkeypatch.setattr(brep, "row_basis", capture)
-    assert commutant_dimension() == 1
+def _dense_commutant_rows(components):
+    # the rows of XA - AX = 0 over Z[w], one per entry of X and dense matrix
+    # A = to_matrix() of a component
     n = 6
-    dense = []
-    for g in compute_aut_linear().generators:
-        a = g.p.to_matrix().entries
+    rows = []
+    for m in components:
+        a = m.to_matrix().entries
         for i in range(n):
             for j in range(n):
                 row = [EisensteinRational(0)] * (n * n)
                 for k in range(n):
                     row[i * n + k] = row[i * n + k] + a[k * n + j]
                     row[k * n + j] = row[k * n + j] - a[i * n + k]
-                dense.append(tuple(row))
-    assert len(captured) == 36 * len(compute_aut_linear().generators)
-    assert Counter(captured) == Counter(dense)
+                rows.append(tuple(row))
+    return rows
+
+
+def _random_monomial(rng):
+    images = list(range(6))
+    rng.shuffle(images)
+    return MonomialMatrix([rng.randrange(3) for _ in range(6)], Permutation(images))
+
+
+def test_commutant_orbit_count_matches_the_dense_commutator_rank():
+    swap = Permutation.parse("(1,2)", 6)
+    cases = [
+        ([g.p for g in compute_aut_linear().generators], 1),
+        ([MonomialMatrix.identity(6)], 36),
+        ([MonomialMatrix((0,) * 6, Permutation.parse("(1,2,3,4,5,6)", 6))], 6),
+        ([MonomialMatrix.diagonal((0, 1, 2, 0, 1, 2))], 12),
+        # (1,2) alone has 26 orbits on the entries; with the phase w on row 1,
+        # going once round 8 of them multiplies by w or w2, forcing X to 0 there
+        ([MonomialMatrix((0,) * 6, swap)], 26),
+        ([MonomialMatrix((1, 0, 0, 0, 0, 0), swap)], 18),
+    ]
+    rng = random.Random(31)
+    cases += [([_random_monomial(rng) for _ in range(rng.randint(1, 3))], None) for _ in range(150)]
+    dimensions = set()
+    for components, expected in cases:
+        dense = 36 - len(row_basis(_dense_commutant_rows(components)))
+        assert _commutant_dimension(components) == dense
+        assert expected in (None, dense)
+        dimensions.add(dense)
+    assert len(dimensions) > 5
 
 
 def test_commutant_dimension_skips_zero_products(monkeypatch):
-    # row_basis forms no product with a zero entry: 942 products, against
-    # 15,048 when every entry is cross-multiplied
-    compute_aut_linear()
+    # row_basis forms no product with a zero entry: 912 products on the
+    # generators' dense system, against 14,616 when every entry is
+    # cross-multiplied
+    rows = _dense_commutant_rows([g.p for g in compute_aut_linear().generators])
     calls = []
     mul = EisensteinRational.__mul__
 
@@ -203,8 +222,22 @@ def test_commutant_dimension_skips_zero_products(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(EisensteinRational, "__mul__", counting)
-    assert commutant_dimension() == 1
+    assert 36 - len(row_basis(rows)) == 1
     assert len(calls) < 2000
+
+
+def test_commutant_dimension_makes_no_eisenstein_values(monkeypatch):
+    compute_aut_linear()
+    made = []
+    init = EisensteinRational.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EisensteinRational, "__init__", counting)
+    assert commutant_dimension() == 1
+    assert made == []
 
 
 def test_theorem_report_passes():

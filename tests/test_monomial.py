@@ -22,7 +22,7 @@ def test_to_matrix_of_pure_permutation():
     mat = m.to_matrix()
     for i in range(6):
         for j in range(6):
-            expected = E_ONE if j == m.perm.apply(i) else E_ZERO
+            expected = E_ONE if j == m.perm.images[i] else E_ZERO
             assert mat.entry(i, j) == expected
 
 

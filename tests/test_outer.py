@@ -183,7 +183,7 @@ def test_compare_up_to_inner_reads_off_no_h_from_a_t1_that_is_not_injective():
     # two points; merged: (1,3) goes to (1,2) as well as (1,2) does, so the
     # images share only point 1, but the h read off them is not a bijection
     # and fails the check on the entries
-    sign = {g: p6("(1,2)") if g.sign() < 0 else Permutation.identity(6) for g in S6}
+    sign = {g: p6("(1,2)") if sum(len(c) - 1 for c in g.cycles()) % 2 else Permutation.identity(6) for g in S6}
     merged = {g: g for g in S6}
     merged[p6("(1,3)")] = p6("(1,2)")
     for table in (sign, merged):
