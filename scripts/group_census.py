@@ -33,8 +33,8 @@ def main():
         print(f"{name:<{width}}  {order:>12,}")
     print(f"\norbit of H under X: {aut.orbit_size:,} matrices")
     print(f"orbit * stabilizer = {aut.orbit_size * aut.order:,} = |X|")
-    print("\nstabilizer generators (lifted Schreier generators of the orbit on")
-    print("cosets of N's translations, then the kernel of N on matrices):")
+    print("\nstabilizer generators (nontrivial lifted Schreier generators of the")
+    print("orbit on cosets of N's translations, then (wI, wI)):")
     for g in aut.generators:
         print(f"  {g}")
     print(f"\ntotal time {time.perf_counter() - t0:.1f}s")

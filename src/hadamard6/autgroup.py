@@ -333,106 +333,93 @@ def _phase_act(h: tuple, g: Permutation) -> tuple:
     return tuple((s * h[k] + c) % 3 for k, c in zip(source, shift))
 
 
-def _reduce(v: tuple, basis) -> tuple:
-    """v reduced mod 3 against echelon rows b in order: each step subtracts
-    v[lead] * b[lead] * b, which clears v[lead] since b[lead]^2 = 1 in GF(3),
-    so v is never rescaled and what is left is v minus a member of the span."""
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        c = v[lead] * b[lead]
-        if c:
-            v = tuple((x - c * y) % 3 for x, y in zip(v, b))
-    return v
-
-
 def _difference(a: tuple, b: tuple) -> tuple[int, ...]:
     """a - b mod 3, entrywise."""
     return tuple((x - y) % 3 for x, y in zip(a, b))
 
 
-class _VCosets:
-    """The cosets h + V of V, the GF(3) span of the translations t_i by which
-    the generators n_i of N (see n_subgroup) move phase states (see
-    _phase_act): entry k of h^n_i is h_k + t_i[k] mod 3.
+def _translation(d, e) -> tuple[int, ...]:
+    """How (diag(w^d), diag(w^e)) moves phase states (see _phase_map):
+    entry 6r + j is e_j - d_r mod 3."""
+    return tuple((x - y) % 3 for y in d for x in e)
 
-    One row_basis of the rows (t_i | e_i) over GF(3) keeps every row a
-    combination sum y_i (t_i | e_i), whose translation part is that of
-    prod n_i^y_i.  The rows with a nonzero translation part are an echelon
-    basis of V; the others give the kernel of N -> V as words."""
 
-    def __init__(self, ns):
-        self.ns = list(ns)
-        m = len(self.ns)
-        self.basis = [tuple(map(int, b)) for b in row_basis(
-            tuple(map(_GF3, _phase_act((0,) * 36, n))) + tuple(_GF3(i == j) for j in range(m))
-            for i, n in enumerate(self.ns))]
-        self.span = [b[:36] for b in self.basis if any(b[:36])]
-        words = (self.word(b[36:]) for b in self.basis if not any(b[:36]))
-        self.kernel = [w for w in words if not w.is_identity()]
+def _coset_name(h: tuple) -> tuple:
+    """The state naming the coset h + V, where V is the set of translations
+    of the zero-sum diagonal pairs: h minus the one member of V that agrees
+    with h on row 0 past its first entry and on column 0 in rows 1..4.  Adding
+    one constant to d and e changes no translation, so take d_0 = 0: those 9
+    entries fix e_1..e_5, then e_0 and d_1..d_4 by Sigma e = 0, and d_5 by
+    Sigma d = 0.  So a member of V that is zero there is zero, and as
+    |V| = 3^9, two states get one name exactly when they differ by V."""
+    e = (-sum(h[1:6]),) + tuple(h[1:6])
+    d = (0,) + tuple(e[0] - h[6 * r] for r in range(1, 5))
+    return _difference(h, _translation(d + (-sum(d),), e))
 
-    def word(self, y) -> Permutation:
-        n = Permutation.identity(36)
-        for ni, yi in zip(self.ns, y):
-            n = n * ni**yi
-        return n
 
-    def canon(self, h: tuple) -> tuple:
-        """The state naming the coset h + V: h reduced against V's basis, so
-        two states get one name exactly when they differ by V."""
-        return _reduce(h, self.span)
+def _untranslate(v: tuple) -> Permutation | None:
+    """The zero-sum diagonal pair that translates phase states by -v, or None
+    unless v is in V.  The candidate (d, e) has d_0 = 0 and agrees with v on
+    row 0 and column 0; the sums of d and e mod 3 are the same for every pair
+    with translation v, since those pairs differ by multiples of (1, 1)."""
+    e = v[:6]
+    d = tuple(v[0] - v[6 * r] for r in range(6))
+    if sum(d) % 3 or sum(e) % 3 or _translation(d, e) != v:
+        return None
+    return _diag_pair([-x for x in d], [-x for x in e]).perm
 
-    def invariant_under(self, g: Permutation) -> bool:
-        """Whether g's linear part, h^g - 0^g, maps V into V."""
-        base = _phase_act((0,) * 36, g)
-        return not any(any(_reduce(_difference(_phase_act(b, g), base), self.span)) for b in self.span)
 
-    def untranslate(self, d) -> Permutation | None:
-        """An n in N with t_n = -d, or None unless d is in V.  Reducing
-        (d | 0) subtracts (sum z_i t_i | z) and leaves (0 | -z) exactly when
-        d = sum z_i t_i, and then y = -z gives n = prod n_i^y_i."""
-        v = _reduce(tuple(d) + (0,) * len(self.ns), self.basis)
-        return None if any(v[:36]) else self.word(v[36:])
+# the 10 basis pairs of the zero-sum diagonal pairs
+_UNITS = [tuple(int(k == i) - int(k == 5) for k in range(6)) for i in range(5)]
+_ZERO_SUM_BASIS = [(u, (0,) * 6) for u in _UNITS] + [((0,) * 6, u) for u in _UNITS]
 
 
 @cache
 def compute_aut_star() -> Stabilizer:
-    """Stabilizer of the Hadamard matrix under X, through the cosets of V
-    (see _VCosets).
+    """Stabilizer of the Hadamard matrix under X, through the cosets h + V
+    (see _coset_name).
 
-    N is normal in X, so X permutes the cosets h + V; each generator's linear
-    part is checked to map V into V.  orbit_stabilizer on the named states of
-    the cosets gives the orbit of h + V and Schreier generators s of
-    Stab(h + V).  Each s is lifted to s * n, where n in N translates by
-    h - h^s; h^s - h must lie in V, and the lift must fix h.
+    Z, the group of zero-sum diagonal pairs, is checked to lie in N, so in X.
+    Conjugation by a monomial pair permutes and may negate the exponents of
+    a diagonal pair, so Z is normal in X, and each generator's linear part
+    h^g - 0^g is checked to map the translations of Z's basis into V: X
+    permutes the cosets.  orbit_stabilizer on their names gives the orbit of
+    h + V and Schreier generators s of Stab(h + V).  Each s is lifted to
+    s * n, where n = _untranslate(h^s - h) is in Z, and the lift must fix h.
 
-    Let K = <lifts, nontrivial kernel words>.  Every generator of K fixes h,
-    so K <= Stab(h).  N moves h through all of h + V, so Stab(h + V) =
-    Stab(h)N, and each s lies in KN, so KN = Stab(h + V) = Stab(h)N.  The
-    members of N that fix h are the kernel of N -> V, so K meet N contains
-    Stab(h) meet N.  For x in Stab(h) write x = kn with k in K and n in N;
-    then n = k^-1 x lies in Stab(h) meet N, so in K, and x is in K.  Hence
-    K = Stab(h).  The orbit of h has |orbit of h + V| * |V| states, and
-    neither factor is taken from |X|.  Each returned generator must fix h6()
-    under the exact matrix action."""
+    Every generator of K = <nontrivial lifts, (wI, wI)> fixes h, so
+    K <= Stab(h).  Z moves h through all of h + V, so Stab(h + V) = Stab(h)Z,
+    and each s lies in KZ, so KZ = Stab(h)Z.  The members of Z that fix h
+    have e_j = d_r for all r and j, so they are the powers of (wI, wI).  For
+    x in Stab(h) write x = kn with k in K and n in Z; then n = k^-1 x fixes
+    h, so it lies in K, and x is in K.  Hence K = Stab(h).  The orbit of h is
+    the union of the cosets in the orbit of h + V, each of |V| = |Z| / 3 =
+    3^9 states, and neither factor is taken from |X|.  Each returned
+    generator must fix h6() under the exact matrix action."""
     H = h6()
-    cosets = _VCosets(n.perm for n in n_subgroup().generators)
+    if not all(n_subgroup().bsgs.contains(_diag_pair(d, e).perm) for d, e in _ZERO_SUM_BASIS):
+        raise AssertionError("N does not contain the zero-sum diagonal pairs")
     gens = [g.to_perm36() for g in x_generators()]
-    if not all(map(cosets.invariant_under, gens)):
-        raise AssertionError("X does not map the translations of N into their span")
-    orbit = orbit_stabilizer(gens, lambda s, g: cosets.canon(_phase_act(s, g)), cosets.canon(_H6_STATE))
+    zero = (0,) * 36
+    if any(any(_coset_name(_difference(_phase_act(_translation(d, e), g), _phase_act(zero, g))))
+           for g in gens for d, e in _ZERO_SUM_BASIS):
+        raise AssertionError("X does not map the translations of N into V")
+    orbit = orbit_stabilizer(gens, lambda s, g: _coset_name(_phase_act(s, g)), _coset_name(_H6_STATE))
     kept = []
     for s in orbit.stabilizer_generators:
-        n = cosets.untranslate(_difference(_phase_act(_H6_STATE, s), _H6_STATE))
+        n = _untranslate(_difference(_phase_act(_H6_STATE, s), _H6_STATE))
         if n is None:
             raise AssertionError("a Schreier generator moves h6() off its coset")
-        if _phase_act(_H6_STATE, s * n) != _H6_STATE:
+        lift = s * n
+        if _phase_act(_H6_STATE, lift) != _H6_STATE:
             raise AssertionError("a lifted Schreier generator does not fix h6()")
-        kept.append(s * n)
-    kept += cosets.kernel
+        if not lift.is_identity():
+            kept.append(lift)
+    kept.append(omega_pair().perm)
     generators = tuple(map(XElement._raw, kept))
     if any(g.act(H) != H for g in generators):
         raise AssertionError("a stabilizer generator does not fix h6()")
-    return Stabilizer(generators, bsgs_build(kept), orbit.orbit_size * 3 ** len(cosets.span))
+    return Stabilizer(generators, bsgs_build(kept), orbit.orbit_size * 3**9)
 
 
 @cache

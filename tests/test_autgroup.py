@@ -6,6 +6,7 @@ import pytest
 from hadamard6 import autgroup
 from hadamard6.autgroup import (
     XElement,
+    _gf3_span_size,
     _phase_act,
     compute_aut_linear,
     compute_aut_star,
@@ -418,8 +419,9 @@ def test_phase_action_composes():
 
 
 def test_phase_action_is_affine_over_gf3():
-    # _VCosets.invariant_under and the proof that K = Stab(h) take the linear
-    # part h -> h^g - 0^g to be additive mod 3, for both conjugation flags
+    # compute_aut_star's check that X maps V into V and the proof that
+    # K = Stab(h) take the linear part h -> h^g - 0^g to be additive mod 3,
+    # for both conjugation flags
     rng = random.Random(106)
     zero = (0,) * 36
     flags = set()
@@ -471,19 +473,14 @@ def test_stabilizer_search_runs_only_on_two_cosets(monkeypatch):
 
 
 def test_stabilizer_generators_are_pinned():
-    # freezes the coset search order: the four lifted Schreier generators,
-    # then the kernel word of N on phase states
+    # freezes the coset search order: the three nontrivial lifted Schreier
+    # generators, then (wI, wI)
     assert [str(g) for g in compute_aut_star().generators] == [
         "([1,1,1,1,1,1](2,3,4,5,6), [1,1,1,1,1,1](2,3,4,5,6))",
         "([1,1,w,w2,w2,w](1,2), [1,1,w2,w,w,w2](1,2)(3,6)(4,5))*",
         "([w2,1,w2,1,w,w](1,3,4,5,6), [w,1,w2,w2,1,w](1,6,5,4,3))",
-        "([w2,w2,w2,w2,w2,w2], [w2,w2,w2,w2,w2,w2])",
-        "([w2,w2,w2,w2,w2,w2], [w2,w2,w2,w2,w2,w2])",
+        "([w,w,w,w,w,w], [w,w,w,w,w,w])",
     ]
-
-
-def v_cosets():
-    return autgroup._VCosets(n.perm for n in n_subgroup().generators)
 
 
 def random_n(rng):
@@ -494,35 +491,63 @@ def random_n(rng):
 
 
 def test_translations_of_n_span_rank_9():
-    assert len(v_cosets().span) == 9
+    zero = (0,) * 36
+    translations = [_phase_act(zero, n.perm) for n in n_subgroup().generators]
+    assert all(not any(autgroup._coset_name(t)) for t in translations)
+    assert _gf3_span_size(translations) == 3**9
 
 
 def test_kernel_of_n_on_phase_states_is_generated_by_the_omega_pair():
-    kernel = bsgs_build(v_cosets().kernel, degree=36)
-    assert kernel.order() == 3
-    assert kernel.contains(omega_pair().perm)
+    # of the 3^10 zero-sum diagonal pairs, only the powers of (wI, wI) fix
+    # every phase state
+    zero_sum = m_vectors()
+    fixing = [(d, e) for d in zero_sum for e in zero_sum if not any(autgroup._translation(d, e))]
+    assert fixing == [((c,) * 6, (c,) * 6) for c in range(3)]
+    assert omega_pair().p.phases == omega_pair().q.phases == (1,) * 6
 
 
 def test_canon_is_constant_on_each_coset():
     rng = random.Random(105)
-    cosets = v_cosets()
     seed = phase_state(h6())
     for state in (seed, _phase_act(seed, star().perm), _phase_act(seed, tau2().perm)):
-        name = cosets.canon(state)
+        name = autgroup._coset_name(state)
         # the name lies in the coset it names
-        assert cosets.untranslate(autgroup._difference(name, state)) is not None
+        assert autgroup._untranslate(autgroup._difference(name, state)) is not None
         for _ in range(40):
-            assert cosets.canon(_phase_act(state, random_n(rng))) == name
+            assert autgroup._coset_name(_phase_act(state, random_n(rng))) == name
 
 
 def test_canon_separates_the_two_cosets_of_the_orbit():
-    cosets = v_cosets()
     seed = phase_state(h6())
     images = [_phase_act(seed, g.perm) for g in (tau1(), tau2(), star())]
-    assert len({cosets.canon(s) for s in [seed, *images]}) == 2
+    assert len({autgroup._coset_name(s) for s in [seed, *images]}) == 2
     for image in images:
-        same = cosets.canon(image) == cosets.canon(seed)
-        assert same == (cosets.untranslate(autgroup._difference(image, seed)) is not None)
+        same = autgroup._coset_name(image) == autgroup._coset_name(seed)
+        assert same == (autgroup._untranslate(autgroup._difference(image, seed)) is not None)
+
+
+def test_untranslate_accepts_exactly_the_zero_sum_translations():
+    # V sits inside the 11-dimensional space of translations of all diagonal
+    # pairs; only pairs with both exponent sums 0 mod 3 translate into V
+    rng = random.Random(107)
+    units = [tuple(int(k == i) for k in range(6)) for i in range(6)] + [(0,) * 6]
+    pairs = [(d, e) for d in units for e in units]
+    pairs += [tuple(tuple(rng.randrange(3) for _ in range(6)) for _ in range(2)) for _ in range(200)]
+    outcomes = set()
+    for d, e in pairs:
+        v = autgroup._translation(d, e)
+        n = autgroup._untranslate(v)
+        zero_sum = sum(d) % 3 == sum(e) % 3 == 0
+        assert (n is not None) == zero_sum
+        outcomes.add(zero_sum)
+        if n is not None:
+            assert n_subgroup().bsgs.contains(n)
+            state = tuple(rng.randrange(3) for _ in range(36))
+            assert _phase_act(state, n) == autgroup._difference(state, v)
+    assert outcomes == {True, False}
+    # a unit phase state is no diagonal pair's translation
+    for k in range(36):
+        assert autgroup._untranslate(tuple(int(i == k) for i in range(36))) is None
 
 
 def test_act_error_cases():
