@@ -111,9 +111,9 @@ class XElement:
         return self.perm.is_identity()
 
     def act(self, H: ExactMatrix) -> ExactMatrix:
-        """(P^-1 H Q), conjugated entrywise iff eps = 1; ValueError unless H
-        is 6x6 over Q(w)."""
-        m = self.p.inverse().to_matrix() @ H @ self.q.to_matrix()
+        """(P^-1 H Q), conjugated entrywise iff eps = 1, by a row move and a
+        column move; ValueError unless H is 6x6 over Q(w)."""
+        m = self.p.inverse() @ H @ self.q
         if not self.eps:
             return m
         return ExactMatrix._raw(6, 6, tuple(x.conj() for x in m.entries), EisensteinRational)

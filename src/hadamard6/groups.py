@@ -16,8 +16,8 @@ generators in the order given, and no randomisation is used anywhere.
 Only commutator (with conjugate) takes any immutable group elements
 supporting ``*``, ``.inverse()`` and hashing.  Elsewhere the elements are
 Permutations, a search labels its states with image bytes (closure and
-hom_closure their domain too), and a * b^-1 on image bytes is computed in one
-place, _div.
+hom_closure their domain too, and hom_closure's table stays in them), and
+a * b^-1 on image bytes is computed in one place, _div.
 """
 
 from __future__ import annotations
@@ -371,10 +371,10 @@ def action_kernel_order(bsgs: BSGS, block_map) -> int:
 
 def hom_closure(pairs) -> dict:
     """Extend generator pairs (g, image) to the full domain group by
-    _image_search over the Cayley graph; returns the table {g: image of g}.
-    The generators, and the images, are Permutations of one degree each
-    (ValueError otherwise); the search labels the domain with image bytes,
-    and each element with its image's, wrapped as Permutations at return.
+    _image_search over the Cayley graph; returns the table {g: image of g},
+    both sides as image bytes.  The generators, and the images, are
+    Permutations of one degree each (ValueError otherwise); the search labels
+    the domain with image bytes, and each element with its image's.
 
     Raises InconsistentImagesError when two words for the same element get
     different images (the data is not a homomorphism), and ClosureCapError
@@ -395,5 +395,4 @@ def hom_closure(pairs) -> dict:
     def on_edge(hi, prev):
         raise InconsistentImagesError("generator images are not a homomorphism")
 
-    table = _image_search(gens, _IDENT[:n], on_edge, images)
-    return {Permutation._raw(g): Permutation._raw(img) for g, img in table.items()}
+    return _image_search(gens, _IDENT[:n], on_edge, images)

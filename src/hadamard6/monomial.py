@@ -11,14 +11,16 @@ action.  With that convention
 and the permutation parts multiply exactly like the matrices do.  B-valued
 matrices have no product of their own: the unit law in MonomialBMatrix's
 docstring encodes a pair of them as a 36-point permutation (b_pair_perm36),
-and products are taken there.  Text is output only, with no parser back:
-"[e1,...,en]" followed by the cycles of K ("[1,w,w2,1,1,1](1,2)"); the B-form
-entries append a B suffix, so the unit w^a * B prints as "wB", "w2B" or "B".
+and products are taken there.  Either kind multiplies a dense ExactMatrix
+over its ring, on either side, by moving and scaling its rows or columns.
+Text is output only, with no parser back: "[e1,...,en]" followed by the
+cycles of K ("[1,w,w2,1,1,1](1,2)"); the B-form entries append a B suffix,
+so the unit w^a * B prints as "wB", "w2B" or "B".
 """
 
 from __future__ import annotations
 
-from .eisenstein import E_ZERO, OMEGA_POWERS, SQ_ZERO, SplitQuaternion
+from .eisenstein import E_ZERO, OMEGA_POWERS, SQ_ZERO, EisensteinRational, SplitQuaternion
 from .matrices import ExactMatrix
 from .perms import Permutation
 
@@ -42,10 +44,36 @@ def _dense_dk(units, perm: Permutation, zero) -> ExactMatrix:
     return ExactMatrix._raw(n, n, tuple(entries), type(zero))
 
 
+def _row_move(self, m):
+    """(D K) M: row i is unit i times row i^K of M."""
+    if not isinstance(m, ExactMatrix):
+        return NotImplemented
+    if m.rows != self.degree or m.ring is not self._ring:
+        raise ValueError("dimension or ring mismatch")
+    c, e = m.cols, m.entries
+    out = tuple(u * x for u, j in zip(self._units(), self.perm.images) for x in e[j * c:(j + 1) * c])
+    return ExactMatrix._raw(m.rows, c, out, m.ring)
+
+
+def _col_move(self, m):
+    """M (D K): column i^K is column i of M times unit i."""
+    if not isinstance(m, ExactMatrix):
+        return NotImplemented
+    if m.cols != self.degree or m.ring is not self._ring:
+        raise ValueError("dimension or ring mismatch")
+    n, e, units = m.cols, m.entries, self._units()
+    source = sorted(range(n), key=self.perm.images.__getitem__)
+    out = tuple(e[k + i] * units[i] for k in range(0, m.rows * n, n) for i in source)
+    return ExactMatrix._raw(m.rows, n, out, m.ring)
+
+
 class MonomialMatrix:
     """D*K with D = diag(w^phases) and K the permutation matrix of perm."""
 
     __slots__ = ("phases", "perm")
+    _ring = EisensteinRational
+    __matmul__ = _row_move
+    __rmatmul__ = _col_move
 
     def __init__(self, phases, perm: Permutation):
         phases = tuple(p % 3 for p in phases)
@@ -87,8 +115,11 @@ class MonomialMatrix:
         """The permutation part K; P -> K is a homomorphism."""
         return self.perm
 
+    def _units(self) -> list:
+        return [OMEGA_POWERS[p] for p in self.phases]
+
     def to_matrix(self) -> ExactMatrix:
-        return _dense_dk([OMEGA_POWERS[p] for p in self.phases], self.perm, E_ZERO)
+        return _dense_dk(self._units(), self.perm, E_ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMatrix):
@@ -123,6 +154,9 @@ class MonomialBMatrix:
     """
 
     __slots__ = ("phases", "perm")
+    _ring = SplitQuaternion
+    __matmul__ = _row_move
+    __rmatmul__ = _col_move
 
     def __init__(self, phases, perm: Permutation):
         phases = tuple((a % 3, b % 2) for a, b in phases)
@@ -145,8 +179,11 @@ class MonomialBMatrix:
     def degree(self) -> int:
         return len(self.phases)
 
+    def _units(self) -> list:
+        return [SplitQuaternion.unit(a, b) for a, b in self.phases]
+
     def to_matrix(self) -> ExactMatrix:
-        return _dense_dk([SplitQuaternion.unit(a, b) for a, b in self.phases], self.perm, SQ_ZERO)
+        return _dense_dk(self._units(), self.perm, SQ_ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialBMatrix):

@@ -6,11 +6,13 @@ Both automorphisms are 720-entry tables completed by hom_closure from two
 generator images: sigma sends the first projection of each element of
 Y = <tau1, tau2'> to its second, so its images are read off tau1 and tau2';
 the totals action is read off the action of (1,2) and (2,3,4,5,6) on the six
-totals.  That closure is the only enumeration of S6 here.  Bijectivity is
-checked over every entry; multiplicativity is proved by generator induction:
-the table must equal the closure of its own generator images.  Inner-ness is
-decided by construction: the only possible conjugator h is read off the
-images of the five star transpositions (1,k), then checked on every entry.
+totals.  That closure is the only enumeration of S6 here, and a table keeps
+the closure's image bytes, element to image: only apply and to_json wrap an
+entry as a Permutation, one at a time.  Bijectivity is checked over every
+entry; multiplicativity is proved by generator induction: the table must
+equal the closure of its own generator images.  Inner-ness is decided by
+construction: the only possible conjugator h is read off the images of the
+five star transpositions (1,k), then checked on every entry.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .perms import _IDENT, Permutation
 
 
 class AutoTable:
-    """A map from the full symmetric group to itself, stored elementwise."""
+    """A map from the full symmetric group to itself, stored elementwise as
+    {image bytes of g: image bytes of its image}; generators are Permutations."""
 
     __slots__ = ("table", "generators")
 
@@ -32,7 +35,7 @@ class AutoTable:
         self.generators = generators
 
     def apply(self, g: Permutation) -> Permutation:
-        return self.table[g]
+        return Permutation._raw(self.table[g.images])
 
     def is_bijective(self) -> bool:
         return len(set(self.table.values())) == len(self.table) == 720
@@ -47,7 +50,7 @@ class AutoTable:
         word length gives T(g*h) = T(g)*T(h) for all g, h.
         """
         try:
-            return hom_closure([(s, self.table[s]) for s in self.generators]) == self.table
+            return hom_closure([(s, self.apply(s)) for s in self.generators]) == self.table
         except InconsistentImagesError:
             return False
 
@@ -55,10 +58,10 @@ class AutoTable:
         return AutoTable({g: other.table[v] for g, v in self.table.items()}, self.generators)
 
     def to_json(self) -> dict:
-        pairs = sorted(((str(g), str(v)) for g, v in self.table.items()),
-                       key=lambda p: (len(p[0]), p[0]))
+        named = ((str(Permutation._raw(g)), str(Permutation._raw(v))) for g, v in self.table.items())
+        pairs = sorted(named, key=lambda p: (len(p[0]), p[0]))
         return {
-            "generator_images": {str(g): str(self.table[g]) for g in self.generators},
+            "generator_images": {str(g): str(self.apply(g)) for g in self.generators},
             "table": [list(p) for p in pairs],
             "note": "generator images define the map; all other entries are closure-derived",
         }
@@ -93,18 +96,18 @@ def compare_up_to_inner(t1: AutoTable, t2: AutoTable) -> Permutation | None:
     for: 1^h is the one point common to the images of the five (1,k), and k^h
     the other point of the image of (1,k).  h is accepted only if
     h t1(g) = t2(g) h on every entry, checked on image bytes."""
-    inv = {v.images: g for g, v in t2.table.items()}
+    inv = {v: g for g, v in t2.table.items()}
     if not t2.is_bijective() or any(len(v) != 6 for v in inv):
         raise ValueError("t2 is not a bijection of S6")
     stars = (inv[Permutation.parse(f"(1,{k})", 6).images] for k in range(2, 7))
-    moved = [[i for i, x in enumerate(t1.table[s].images) if i != x] for s in stars]
+    moved = [[i for i, x in enumerate(t1.table[s]) if i != x] for s in stars]
     common = set(range(6)).intersection(*moved)
     if any(len(m) != 2 for m in moved) or len(common) != 1:
         return None
     p = common.pop()
     h = bytes([p] + [x + y - p for x, y in moved])
     ht = h + _IDENT[6:]
-    if all(h.translate(v.images + _IDENT[6:]) == t2.table[g].images.translate(ht)
+    if all(h.translate(v + _IDENT[6:]) == t2.table[g].translate(ht)
            for g, v in t1.table.items()):
         return Permutation(h)
     return None

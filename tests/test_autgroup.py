@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from hadamard6 import autgroup
+from hadamard6.brep import verify_theorem
 from hadamard6.autgroup import (
     XElement,
     _gf3_span_size,
@@ -676,9 +677,11 @@ def test_s6_presentation_fails_for_tau2_in_place_of_tau2prime(monkeypatch):
 
 def test_prop1_and_prop2_make_no_exact_products(monkeypatch):
     # prop1 reads H's rows and the determinants off exponents, and prop2's
-    # one dense check is compute_aut_star's, which is cached here
+    # one dense check is compute_aut_star's, which is cached here.  Run cold,
+    # that check and the theorem multiply H only by monomial matrices, as row
+    # and column moves: no product has two ExactMatrix operands
     compute_aut_star()
-    calls = []
+    calls, dense_pairs = [], []
 
     def counting(original):
         def wrapper(self, other):
@@ -686,12 +689,22 @@ def test_prop1_and_prop2_make_no_exact_products(monkeypatch):
             return original(self, other)
         return wrapper
 
-    for cls, names in ((ExactMatrix, ("__matmul__",)), (EisensteinRational, ("__mul__", "__rmul__"))):
-        for name in names:
-            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    matmul = ExactMatrix.__matmul__
+
+    def counting_matmul(self, other):
+        if isinstance(other, ExactMatrix):
+            dense_pairs.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting_matmul)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(EisensteinRational, name, counting(getattr(EisensteinRational, name)))
     assert verify_prop1().passed
     assert verify_prop2().passed
-    assert calls == []
+    assert calls == [] and dense_pairs == []
+    assert compute_aut_star.__wrapped__().order == 2160
+    assert verify_theorem().passed
+    assert calls and dense_pairs == []
 
 
 def test_y_order_against_brute_force_closure():

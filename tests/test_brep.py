@@ -141,12 +141,34 @@ def test_intertwining_for_generators():
     assert verify_intertwining(XElement.identity())
 
 
-def test_intertwining_equation_explicitly():
-    # H B' dagger(H) = 6 A' with the conjugated second component on the left
-    rep = b_rep(tau2() * star())
+def dense_intertwining(g):
+    # the reference for verify_intertwining's H B' = A' H: the clause's
+    # H B' dagger(H) = 6 A' by dense products
+    rep = b_rep(g)
     H = h6().to_split_quaternion()
     Hd = h6().dagger().to_split_quaternion()
-    assert H @ rep.b.to_matrix() @ Hd == rep.a.to_matrix().scaled(6)
+    return H @ rep.b.to_matrix() @ Hd == rep.a.to_matrix().scaled(6)
+
+
+def test_intertwining_equation_explicitly():
+    # H B' dagger(H) = 6 A' with the conjugated second component on the left
+    assert dense_intertwining(tau2() * star())
+    assert dense_intertwining(tau1())
+
+
+def _shift_first_unit(rep):
+    (x, y), *rest = rep.a.phases
+    return BRepElement(MonomialBMatrix(((x + 1, y), *rest), rep.a.perm), rep.b)
+
+
+@pytest.mark.parametrize("element", [tau1, lambda: tau2() * star()], ids=["tau1", "tau2*"])
+def test_intertwining_and_its_dense_reference_fail_on_a_shifted_unit(monkeypatch, element):
+    g = element()
+    assert verify_intertwining(g) and dense_intertwining(g)
+    formula = brep._b_rep_formula
+    monkeypatch.setattr(brep, "_b_rep_formula", lambda h: _shift_first_unit(formula(h)))
+    assert not verify_intertwining(g)
+    assert not dense_intertwining(g)
 
 
 def test_rhs_is_an_involution():

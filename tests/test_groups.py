@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hadamard6 import groups, outer
+from hadamard6 import groups, outer, perms
 from hadamard6.autgroup import (
     _phase_act,
     compute_aut_linear,
@@ -527,6 +527,7 @@ def test_hom_closure_identity_map():
     assert len(table) == 720
     for g in list(table)[:50]:
         assert table[g] == g
+    assert set(table) == {g.images for g in closure(gens)}
 
 
 def test_hom_closure_c2_example():
@@ -534,7 +535,7 @@ def test_hom_closure_c2_example():
     dst = Permutation.parse("(1,2)(3,6)(4,5)", 6)
     table = hom_closure([(src, dst)])
     assert len(table) == 2
-    assert table[src] == dst
+    assert table[src.images] == dst.images
 
 
 def test_hom_closure_rejects_non_homomorphism():
@@ -598,7 +599,7 @@ def _product_hom_closure(pairs):
         raise InconsistentImagesError("generator images are not a homomorphism")
 
     table = groups._schreier_search(gens, mul, {e_dom: _IDENT[:images[0].degree]}, on_edge, images)
-    return {g: Permutation._raw(img) for g, img in table.items()}
+    return {g.images: img for g, img in table.items()}
 
 
 def _enumeration_cases():
@@ -608,7 +609,7 @@ def _enumeration_cases():
     stabilizer = [tau1().to_perm36(), (tau2() * star()).to_perm36()]
     return {
         "sigma": (sigma, 720),
-        "totals": ([(s, totals.table[s]) for s in totals.generators], 720),
+        "totals": ([(s, totals.apply(s)) for s in totals.generators], 720),
         "quotient": ([(g, g) for g in quotient], 360),
         "stabilizer": ([(g, g) for g in stabilizer], 2160),
     }
@@ -623,7 +624,7 @@ def test_image_byte_enumeration_matches_the_product_reference(name):
     assert elements == _product_closure(gens)
     table = hom_closure(pairs)
     assert list(table.items()) == list(_product_hom_closure(pairs).items())
-    assert all(type(g) is Permutation and type(v) is Permutation for g, v in table.items())
+    assert all(type(g) is bytes and type(v) is bytes for g, v in table.items())
 
 
 def test_closure_and_hom_closure_make_no_product_per_edge(monkeypatch):
@@ -643,6 +644,20 @@ def test_closure_and_hom_closure_make_no_product_per_edge(monkeypatch):
     monkeypatch.setattr(Permutation, "inverse", counted_inverse)
     assert len(closure(gens)) == len(hom_closure([(g, g) for g in gens])) == 720
     assert counts == {"mul": 0, "inverse": 0}
+
+
+def test_hom_closure_creates_no_permutation(monkeypatch):
+    # every Permutation is made by __init__ or by perms._new; the table stays
+    # in image bytes, generators' and images' alike
+    pairs = [(g, g) for g in (Permutation.parse("(1,2)", 6), Permutation.parse("(2,3,4,5,6)", 6))]
+    made = []
+    new, init = perms._new, Permutation.__init__
+    monkeypatch.setattr(perms, "_new", lambda cls: made.append(cls) or new(cls))
+    monkeypatch.setattr(Permutation, "__init__", lambda self, images: made.append(images) or init(self, images))
+    assert Permutation.identity(3) is not None and len(made) == 1
+    made.clear()
+    assert len(hom_closure(pairs)) == 720
+    assert made == []
 
 
 def test_hom_closure_rejects_a_domain_of_mixed_degree():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hadamard6.eisenstein import E_ONE, E_ZERO, OMEGA, SQ_ZERO, SplitQuaternion
+from hadamard6.eisenstein import E_ONE, E_ZERO, OMEGA, SQ_ZERO, EisensteinRational, SplitQuaternion
 from hadamard6.matrices import ExactMatrix
 from hadamard6.monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
 from hadamard6.perms import Permutation
@@ -231,3 +231,46 @@ def test_bmatrix_text():
         Permutation.parse("(1,2)(3,6)(4,5)", 6),
     )
     assert str(m) == "[B,B,w2B,wB,wB,w2B](1,2)(3,6)(4,5)"
+
+
+def random_dense(rng, rows, cols, ring):
+    def entry():
+        z = EisensteinRational(rng.randint(-3, 3), rng.randint(-3, 3))
+        return z if ring is EisensteinRational else SplitQuaternion(z, EisensteinRational(rng.randint(-3, 3)))
+    return ExactMatrix(rows, cols, [entry() for _ in range(rows * cols)])
+
+
+@pytest.mark.parametrize("kind", ["cube roots", "split quaternion units"])
+def test_monomial_products_are_the_dense_products(kind):
+    # row and column moves against to_matrix products, on both sides and on
+    # operands that are not square
+    rng = random.Random(34)
+    ring = EisensteinRational if kind == "cube roots" else SplitQuaternion
+    make = random_monomial if kind == "cube roots" else random_bmonomial
+    for _ in range(30):
+        m = make(rng)
+        left, right = random_dense(rng, 6, rng.randint(1, 7), ring), random_dense(rng, rng.randint(1, 7), 6, ring)
+        assert m @ left == m.to_matrix() @ left
+        assert right @ m == right @ m.to_matrix()
+
+
+def test_inverse_then_dense_then_monomial_is_the_dense_triple_product():
+    rng = random.Random(35)
+    for _ in range(30):
+        p, q = random_monomial(rng), random_monomial(rng)
+        H = random_dense(rng, 6, 6, EisensteinRational)
+        assert p.inverse() @ H @ q == p.inverse().to_matrix() @ H @ q.to_matrix()
+
+
+def test_monomial_products_reject_a_wrong_degree_or_ring():
+    rng = random.Random(36)
+    m, mb = random_monomial(rng), random_bmonomial(rng)
+    for mono, wrong_ring, ring in ((m, SplitQuaternion, EisensteinRational),
+                                   (mb, EisensteinRational, SplitQuaternion)):
+        for operand in (random_dense(rng, 6, 6, wrong_ring), random_dense(rng, 5, 5, ring)):
+            with pytest.raises(ValueError):
+                mono @ operand
+            with pytest.raises(ValueError):
+                operand @ mono
+        with pytest.raises(TypeError):
+            mono @ 3
