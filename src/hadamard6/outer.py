@@ -83,10 +83,35 @@ def build_outer() -> AutoTable:
     return _closure_table([(g.p.pi(), g.q.pi()) for g in (tau1(), tau2prime())])
 
 
+_STARS = tuple(Permutation.parse(f"(1,{k})", 6).images for k in range(2, 7))
+
+
+def _star_conjugator(images) -> bytes | None:
+    """The image bytes of h if the five given images of the (1,k) are
+    transpositions (1^h, k^h) with one common point 1^h, else None."""
+    moved = [[i for i, x in enumerate(v) if i != x] for v in images]
+    common = set(range(6)).intersection(*moved)
+    if any(len(m) != 2 for m in moved) or len(common) != 1:
+        return None
+    p = common.pop()
+    return bytes([p] + [x + y - p for x, y in moved])
+
+
 def is_inner(t: AutoTable) -> Permutation | None:
     """The conjugating element if the table is conjugation by one, else None;
-    t's domain must be all of S6 (ValueError otherwise)."""
-    return compare_up_to_inner(t, AutoTable({g: g for g in t.table}, ()))
+    t's domain must be all of S6 (ValueError otherwise).  This is
+    compare_up_to_inner against the identity, whose inverse and star
+    preimages are known: h is read off t's images of the (1,k) and accepted
+    only if h t(g) = g h on every entry."""
+    if len(t.table) != 720 or any(len(g) != 6 for g in t.table):
+        raise ValueError("t's domain is not all of S6")
+    h = _star_conjugator([t.table[s] for s in _STARS])
+    if h is None:
+        return None
+    ht = h + _IDENT[6:]
+    if all(h.translate(v + _IDENT[6:]) == g.translate(ht) for g, v in t.table.items()):
+        return Permutation(h)
+    return None
 
 
 def compare_up_to_inner(t1: AutoTable, t2: AutoTable) -> Permutation | None:
@@ -99,13 +124,9 @@ def compare_up_to_inner(t1: AutoTable, t2: AutoTable) -> Permutation | None:
     inv = {v: g for g, v in t2.table.items()}
     if not t2.is_bijective() or any(len(v) != 6 for v in inv):
         raise ValueError("t2 is not a bijection of S6")
-    stars = (inv[Permutation.parse(f"(1,{k})", 6).images] for k in range(2, 7))
-    moved = [[i for i, x in enumerate(t1.table[s]) if i != x] for s in stars]
-    common = set(range(6)).intersection(*moved)
-    if any(len(m) != 2 for m in moved) or len(common) != 1:
+    h = _star_conjugator([t1.table[inv[s]] for s in _STARS])
+    if h is None:
         return None
-    p = common.pop()
-    h = bytes([p] + [x + y - p for x, y in moved])
     ht = h + _IDENT[6:]
     if all(h.translate(v + _IDENT[6:]) == t2.table[g].translate(ht)
            for g, v in t1.table.items()):

@@ -297,6 +297,39 @@ def test_verify_loads_no_dataclasses():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+_ENTRIES = {
+    "run": "from hadamard6.cli import run\nstatus = run()\n",
+    "__main__": (
+        "import runpy\n"
+        "try:\n"
+        "    runpy.run_module('hadamard6.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+    ),
+    "main": "from hadamard6.cli import main\nstatus = main(sys.argv[1:])\n",
+}
+
+
+@pytest.mark.parametrize("entry, frozen", [("run", True), ("__main__", True), ("main", False)])
+def test_only_the_process_entry_freezes_the_heap(entry, frozen):
+    # a subprocess, so this test's own heap is never frozen
+    code = (
+        "import gc, sys\n"
+        "sys.argv = ['hadamard6', 'verify', '--only', 'codes', '--json']\n"
+        + _ENTRIES[entry]
+        + "print(status, gc.get_freeze_count() > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == f"0 {frozen}"
+
+
+def test_console_script_is_the_process_entry():
+    # read as text: tomllib is not in the standard library before 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'hadamard6 = "hadamard6.cli:run"' in pyproject.read_text()
+
+
 @pytest.mark.parametrize("argv", [["verify", "--only", "codes"], ["outer", "table"],
                                   ["hexacode"], ["order", "--group", "Y"]],
                          ids=" ".join)

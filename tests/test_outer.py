@@ -176,6 +176,25 @@ def test_verify_outer_inner_ness_results():
     assert _search_up_to_inner(sigma, totals_outer()) == p6("(1,4,6,2,5)")
 
 
+@pytest.mark.parametrize("name", ["sigma", "sigma squared", "totals", "identity", "(1,2)",
+                                  "(1,3,5)(2,4)", "(1,4,6,2,5)", "(1,2,3,4,5,6)"])
+def test_is_inner_is_compare_up_to_inner_against_the_identity(name):
+    sigma = build_outer()
+    named = {"sigma": sigma, "sigma squared": sigma.then(sigma), "totals": totals_outer(),
+             "identity": conjugation_table(Permutation.identity(6))}
+    t = named[name] if name in named else conjugation_table(p6(name))
+    assert is_inner(t) == compare_up_to_inner(t, AutoTable({g: g for g in t.table}, ()))
+
+
+def test_is_inner_rejects_a_table_whose_domain_is_not_s6():
+    partial = AutoTable(on_bytes({g: g for g in S6[:360]}), ())
+    with pytest.raises(ValueError, match="S6"):
+        is_inner(partial)
+    seven = AutoTable({g.images + b"\x06": g.images + b"\x06" for g in S6}, ())
+    with pytest.raises(ValueError, match="S6"):
+        is_inner(seven)
+
+
 def test_compare_up_to_inner_rejects_a_t2_that_is_not_a_bijection_of_s6():
     sigma = build_outer()
     collapsed = AutoTable(on_bytes({g: Permutation.identity(6) for g in S6}), ())
@@ -201,6 +220,7 @@ def test_compare_up_to_inner_reads_off_no_h_from_a_t1_that_is_not_injective():
         t = AutoTable(on_bytes(table), (p6("(1,2)"), p6("(2,3,4,5,6)")))
         assert compare_up_to_inner(t, IDENTITY) is None
         assert _search_up_to_inner(t, IDENTITY) is None
+        assert is_inner(t) is None
 
 
 def test_compare_up_to_inner_checks_the_constructed_h_on_every_entry():
@@ -213,6 +233,7 @@ def test_compare_up_to_inner_checks_the_constructed_h_on_every_entry():
     t = AutoTable(on_bytes(table), (p6("(1,2)"), p6("(2,3,4,5,6)")))
     assert compare_up_to_inner(t, IDENTITY) is None
     assert _search_up_to_inner(t, IDENTITY) is None
+    assert is_inner(t) is None
 
 
 def test_verify_outer_makes_no_permutation_product_or_inverse(monkeypatch):
