@@ -38,7 +38,7 @@ from collections import namedtuple
 from functools import cache
 
 from .autgroup import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
-from .eisenstein import SplitQuaternion
+from .eisenstein import SQ_ONE, SplitQuaternion
 from .groups import _point_act, _schreier_search
 from .matrices import ExactMatrix, h6
 from .monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
@@ -136,8 +136,7 @@ def verify_theorem() -> Report:
     clauses.append(check("rhs_involution", "the conjugated matrix squares to the identity",
                          True, involution))
 
-    one = SplitQuaternion.one()
-    units_ok = all(SplitQuaternion.unit(a, 1) * SplitQuaternion.unit(a, 1) == one for a in (0, 1, 2))
+    units_ok = all(SplitQuaternion.unit(a, 1) * SplitQuaternion.unit(a, 1) == SQ_ONE for a in (0, 1, 2))
     clauses.append(check("beta_unit_squares", "(B w^a)^2 = 1 for every cube-root phase",
                          True, units_ok))
 

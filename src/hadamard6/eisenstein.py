@@ -39,14 +39,6 @@ class EisensteinRational:
         self.a = a if type(a) is int else _integer(a)
         self.b = b if type(b) is int else _integer(b)
 
-    @classmethod
-    def zero(cls) -> "EisensteinRational":
-        return E_ZERO
-
-    @classmethod
-    def one(cls) -> "EisensteinRational":
-        return E_ONE
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -146,14 +138,6 @@ class SplitQuaternion:
         """The unit w^a * B^b."""
         z = OMEGA_POWERS[a % 3]
         return cls(z, E_ZERO) if b % 2 == 0 else cls(E_ZERO, z)
-
-    @classmethod
-    def zero(cls) -> "SplitQuaternion":
-        return SQ_ZERO
-
-    @classmethod
-    def one(cls) -> "SplitQuaternion":
-        return SQ_ONE
 
     def __add__(self, other):
         if not isinstance(other, SplitQuaternion):

@@ -238,9 +238,6 @@ class BSGS:
                     seen.append(g)
         return seen
 
-    def transversal_sizes(self) -> tuple[int, ...]:
-        return tuple(len(T) for T in self._transversals)
-
 
 def bsgs_build(gens, degree: int | None = None) -> BSGS:
     return BSGS(gens, degree)

@@ -34,15 +34,9 @@ class ExactMatrix:
         self.ring = ring
 
     @classmethod
-    def _raw(cls, rows, cols, entries, ring) -> "ExactMatrix":
-        m = object.__new__(cls)
-        m.rows, m.cols, m.entries, m.ring = rows, cols, entries, ring
-        return m
-
-    @classmethod
     def identity(cls, n: int, ring=EisensteinRational) -> "ExactMatrix":
-        one, zero = ring.one(), ring.zero()
-        return cls._raw(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)), ring)
+        one, zero = ring(1), ring(0)
+        return cls(n, n, (one if i == j else zero for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -56,7 +50,7 @@ class ExactMatrix:
             raise ValueError("ring mismatch")
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
-        zero = self.ring.zero()
+        zero = self.ring(0)
         out = []
         for i in range(n):
             arow = a[i * k : (i + 1) * k]
@@ -69,7 +63,7 @@ class ExactMatrix:
                         continue
                     acc = acc + x * y
                 out.append(acc)
-        return ExactMatrix._raw(n, m, tuple(out), self.ring)
+        return ExactMatrix(n, m, out)
 
     def dagger(self) -> "ExactMatrix":
         """Conjugate transpose; defined over Q(w) only."""
@@ -77,20 +71,20 @@ class ExactMatrix:
             raise ValueError("dagger is not defined for split-quaternion matrices")
         e = self.entries
         out = tuple(e[i * self.cols + j].conj() for j in range(self.cols) for i in range(self.rows))
-        return ExactMatrix._raw(self.cols, self.rows, out, self.ring)
+        return ExactMatrix(self.cols, self.rows, out)
 
     def scaled(self, c: int) -> "ExactMatrix":
         """Scale by an integer, which is central in both rings."""
         if not isinstance(c, int):
             raise TypeError("scale factor must be int")
         s = EisensteinRational(c)
-        return ExactMatrix._raw(self.rows, self.cols, tuple(e * s for e in self.entries), self.ring)
+        return ExactMatrix(self.rows, self.cols, (e * s for e in self.entries))
 
     def to_split_quaternion(self) -> "ExactMatrix":
         if self.ring is SplitQuaternion:
             raise ValueError("matrix already has split-quaternion entries")
         out = tuple(SplitQuaternion.from_complex(e) for e in self.entries)
-        return ExactMatrix._raw(self.rows, self.cols, out, SplitQuaternion)
+        return ExactMatrix(self.rows, self.cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -171,4 +165,4 @@ def orthogonal_exponents(a, b) -> bool:
 @cache
 def h6() -> ExactMatrix:
     entries = tuple(OMEGA_POWERS[k] for row in H6_PHASES for k in row)
-    return ExactMatrix._raw(6, 6, entries, EisensteinRational)
+    return ExactMatrix(6, 6, entries)

@@ -25,7 +25,6 @@ from .matrices import ExactMatrix
 from .perms import Permutation
 
 _ENTRY_NAMES = {0: "1", 1: "w", 2: "w2"}
-_new = object.__new__
 # Row r of a B-monomial component, with unit w^x B^y and image s, is coded
 # 12x + 6y + s; _B_PAIR_TABLES[half][c] sends that code to the image of the
 # point (c, r) in that half of the 36 points, by the unit law.
@@ -41,7 +40,7 @@ def _dense_dk(units, perm: Permutation, zero) -> ExactMatrix:
     entries = [zero] * (n * n)
     for i, j in enumerate(perm.images):
         entries[i * n + j] = units[i]
-    return ExactMatrix._raw(n, n, tuple(entries), type(zero))
+    return ExactMatrix(n, n, entries)
 
 
 def _row_move(self, m):
@@ -52,7 +51,7 @@ def _row_move(self, m):
         raise ValueError("dimension or ring mismatch")
     c, e = m.cols, m.entries
     out = tuple(u * x for u, j in zip(self._units(), self.perm.images) for x in e[j * c:(j + 1) * c])
-    return ExactMatrix._raw(m.rows, c, out, m.ring)
+    return ExactMatrix(m.rows, c, out)
 
 
 def _col_move(self, m):
@@ -64,7 +63,7 @@ def _col_move(self, m):
     n, e, units = m.cols, m.entries, self._units()
     source = sorted(range(n), key=self.perm.images.__getitem__)
     out = tuple(e[k + i] * units[i] for k in range(0, m.rows * n, n) for i in source)
-    return ExactMatrix._raw(m.rows, n, out, m.ring)
+    return ExactMatrix(m.rows, n, out)
 
 
 class MonomialMatrix:
@@ -167,13 +166,9 @@ class MonomialBMatrix:
 
     @classmethod
     def from_monomial(cls, m: MonomialMatrix, with_beta: bool) -> "MonomialBMatrix":
-        """m itself, or m * (B I); K commutes with the scalar B.  Trusted:
-        m's phases are already reduced, so __init__'s pass is skipped."""
+        """m itself, or m * (B I); K commutes with the scalar B."""
         b = 1 if with_beta else 0
-        mb = _new(cls)
-        mb.phases = tuple((a, b) for a in m.phases)
-        mb.perm = m.perm
-        return mb
+        return cls([(a, b) for a in m.phases], m.perm)
 
     @property
     def degree(self) -> int:

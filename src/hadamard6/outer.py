@@ -86,52 +86,46 @@ def build_outer() -> AutoTable:
 _STARS = tuple(Permutation.parse(f"(1,{k})", 6).images for k in range(2, 7))
 
 
-def _star_conjugator(images) -> bytes | None:
-    """The image bytes of h if the five given images of the (1,k) are
-    transpositions (1^h, k^h) with one common point 1^h, else None."""
-    moved = [[i for i, x in enumerate(v) if i != x] for v in images]
+def _conjugator(star_images, pairs) -> Permutation | None:
+    """h with h a = b h for every pair (a, b) of image bytes, if any.  Such an
+    h sends each (1,k) to (1^h, k^h), so it is read off the given images of
+    the five (1,k), not searched for: 1^h is their one common point and k^h
+    the other point of the image of (1,k).  None unless those images are
+    such transpositions and h passes every pair."""
+    moved = [[i for i, x in enumerate(v) if i != x] for v in star_images]
     common = set(range(6)).intersection(*moved)
     if any(len(m) != 2 for m in moved) or len(common) != 1:
         return None
     p = common.pop()
-    return bytes([p] + [x + y - p for x, y in moved])
+    h = bytes([p] + [x + y - p for x, y in moved])
+    ht = h + _IDENT[6:]
+    if all(h.translate(a + _IDENT[6:]) == b.translate(ht) for a, b in pairs):
+        return Permutation(h)
+    return None
 
 
 def is_inner(t: AutoTable) -> Permutation | None:
     """The conjugating element if the table is conjugation by one, else None;
     t's domain must be all of S6 (ValueError otherwise).  This is
     compare_up_to_inner against the identity, whose inverse and star
-    preimages are known: h is read off t's images of the (1,k) and accepted
-    only if h t(g) = g h on every entry."""
+    preimages are known, so h is read off t's own images of the (1,k) and
+    accepted only if h t(g) = g h on every entry."""
     if len(t.table) != 720 or any(len(g) != 6 for g in t.table):
         raise ValueError("t's domain is not all of S6")
-    h = _star_conjugator([t.table[s] for s in _STARS])
-    if h is None:
-        return None
-    ht = h + _IDENT[6:]
-    if all(h.translate(v + _IDENT[6:]) == g.translate(ht) for g, v in t.table.items()):
-        return Permutation(h)
-    return None
+    return _conjugator([t.table[s] for s in _STARS], zip(t.table.values(), t.table))
 
 
 def compare_up_to_inner(t1: AutoTable, t2: AutoTable) -> Permutation | None:
     """h with t1(g) = h^-1 t2(g) h for all g, if any; t2 must be a bijection
     of S6 (ValueError otherwise).  Such an h makes t1 o t2^-1 conjugation by
-    h, which sends (1,k) to (1^h, k^h), so h is constructed, not searched
-    for: 1^h is the one point common to the images of the five (1,k), and k^h
-    the other point of the image of (1,k).  h is accepted only if
-    h t1(g) = t2(g) h on every entry, checked on image bytes."""
+    h, so it is read off t1's images of the t2-preimages of the (1,k) and
+    accepted only if h t1(g) = t2(g) h on every entry, checked on image
+    bytes."""
     inv = {v: g for g, v in t2.table.items()}
     if not t2.is_bijective() or any(len(v) != 6 for v in inv):
         raise ValueError("t2 is not a bijection of S6")
-    h = _star_conjugator([t1.table[inv[s]] for s in _STARS])
-    if h is None:
-        return None
-    ht = h + _IDENT[6:]
-    if all(h.translate(v + _IDENT[6:]) == t2.table[g].translate(ht)
-           for g, v in t1.table.items()):
-        return Permutation(h)
-    return None
+    return _conjugator([t1.table[inv[s]] for s in _STARS],
+                       zip(t1.table.values(), map(t2.table.__getitem__, t1.table)))
 
 
 @cache

@@ -26,7 +26,7 @@ from hadamard6.autgroup import (
     y_bsgs,
 )
 from hadamard6.brep import b_rep, commutant_dimension, verify_intertwining
-from hadamard6.eisenstein import OMEGA_POWERS, SplitQuaternion
+from hadamard6.eisenstein import OMEGA_POWERS, SQ_ONE, SplitQuaternion
 from hadamard6.groups import (
     action_kernel_order,
     bsgs_build,
@@ -156,15 +156,14 @@ def test_a09_intertwining_theorem():
     ok = verify_intertwining(t2s) and verify_intertwining(tau1())
     rhs = b_rep(t2s).a.to_matrix()
     ok = ok and rhs @ rhs == ExactMatrix.identity(6, SplitQuaternion)
-    one = SplitQuaternion.one()
     ok = ok and all(
-        SplitQuaternion.unit(a, 1) * SplitQuaternion.unit(a, 1) == one for a in (0, 1, 2)
+        SplitQuaternion.unit(a, 1) * SplitQuaternion.unit(a, 1) == SQ_ONE for a in (0, 1, 2)
     )
     rng = random.Random(0)
     letters = [tau1(), t2s]
     for _ in range(100):
-        g = XElement.identity()
-        h = XElement.identity()
+        g = XElement._raw(Permutation.identity(36))
+        h = XElement._raw(Permutation.identity(36))
         for _ in range(10):
             g = g * rng.choice(letters)
             h = h * rng.choice(letters)

@@ -362,3 +362,13 @@ def test_demo_scripts_run():
     assert "True" in out["intertwining_demo.py"]
     assert "2,160" in out["group_census.py"]
     assert "39,366" in out["group_census.py"]
+
+
+def test_every_src_function_is_reached_by_a_command():
+    # a subprocess: in this one, the @cache results of other tests would
+    # hide the functions that compute them
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reach.py"
+    proc = subprocess.run([sys.executable, str(script)], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == []

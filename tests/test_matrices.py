@@ -13,6 +13,8 @@ from hadamard6.eisenstein import (
     OMEGA,
     OMEGA2,
     OMEGA_POWERS,
+    SQ_ONE,
+    SQ_ZERO,
     EisensteinRational,
     SplitQuaternion,
 )
@@ -59,7 +61,7 @@ def test_identity_product():
 
 
 def test_beta_diagonal_squares_to_identity():
-    d = ExactMatrix(2, 2, [BETA, SplitQuaternion.zero(), SplitQuaternion.zero(), BETA])
+    d = ExactMatrix(2, 2, [BETA, SQ_ZERO, SQ_ZERO, BETA])
     assert d @ d == ExactMatrix.identity(2, SplitQuaternion)
 
 
@@ -139,7 +141,7 @@ def test_orthogonal_exponents_matches_the_eisenstein_sum():
 
 def test_mixed_ring_entries_rejected():
     with pytest.raises(ValueError):
-        ExactMatrix(1, 2, [E_ONE, SplitQuaternion.one()])
+        ExactMatrix(1, 2, [E_ONE, SQ_ONE])
 
 
 def test_hash_and_canonical_bytes():
