@@ -567,6 +567,9 @@ def verify_prop2() -> Report:
 
     span = stabilizer_span()
     clauses.append(check("span_order", "<tau1, tau2 *> has order 2160", 2160, span.order()))
+    # the stabilizer's generators lying in the span prove only that the
+    # stabilizer is a subgroup of it; equal orders make the two equal, so the
+    # clause conjoins the orders that span_order and autstar_order print
     contained = all(span.contains(g.to_perm36()) for g in aut.generators)
     clauses.append(
         check("stabilizer_equals_span", "the stabilizer is exactly <tau1, tau2 *>",

@@ -127,6 +127,9 @@ def verify_theorem() -> Report:
                          "representation is multiplicative on all 2160 elements of <tau1, tau2 *>",
                          True, hom_ok))
 
+    # the generators' checks prove every element only through the induction
+    # in the module docstring, whose premise is that A' and B' are
+    # multiplicative: so the clause conjoins hom_ok
     clauses.append(check("intertwining",
                          "H B' dagger(H) = 6 A' on all 2160 elements of <tau1, tau2 *>",
                          True, hom_ok and all(verify_intertwining(g) for g in gens)))

@@ -122,7 +122,7 @@ def _cmd_hexacode(args) -> int:
         "length": code.length,
         "dimension": code.dimension,
         "min_distance": code.min_distance(),
-        "codeword_count": sum(1 for _ in code.codewords()),
+        "codeword_count": len(code.words),
         "weight_distribution": {str(k): v for k, v in code.weight_distribution().items()},
     }
     print(json.dumps(doc, indent=2))

@@ -123,7 +123,7 @@ def row_basis(rows) -> list[tuple]:
 
     Unlike Bareiss's elimination (Math. Comp. 22, 1968) nothing is divided out
     afterwards, so over a general domain entries can grow with each
-    cross-multiplication; verify passes it only GF(3) and GF(4) rows.
+    cross-multiplication; verify passes it only GF(3) rows.
     """
     basis: list[tuple] = []
     leads: list[int] = []

@@ -1,37 +1,45 @@
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from hadamard6 import gf4
-from hadamard6.gf4 import GF4, GF4_ALL, GF4_ONE, GF4_X, GF4_X2, GF4_ZERO, LinearCode, h6_code, verify_codes
+from hadamard6.gf4 import _MUL, LinearCode, h6_code, verify_codes
+
+# the codes of 0, 1, x and x2
+ZERO, ONE, X, X2 = range(4)
 
 
 def test_field_axioms_exhaustively():
-    for a, b, c in product(GF4_ALL, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
-    for a in GF4_ALL:
-        assert a + GF4_ZERO == a
-        assert a * GF4_ONE == a
+    for a, b, c in product(range(4), repeat=3):
+        assert (a ^ b) ^ c == a ^ (b ^ c)
+        assert _MUL[_MUL[a][b]][c] == _MUL[a][_MUL[b][c]]
+        assert _MUL[a][b ^ c] == _MUL[a][b] ^ _MUL[a][c]
+        assert a ^ b == b ^ a
+        assert _MUL[a][b] == _MUL[b][a]
+    for a in range(4):
+        assert a ^ ZERO == a
+        assert _MUL[a][ONE] == a
 
 
 def test_multiplicative_group_of_order_three():
-    assert GF4_X * GF4_X == GF4_X2          # x^2 = x + 1
-    assert GF4_X * GF4_X * GF4_X == GF4_ONE
-    assert GF4_X + GF4_ONE == GF4_X2
+    assert _MUL[X][X] == X2          # x^2 = x + 1
+    assert _MUL[_MUL[X][X]][X] == ONE
+    assert X ^ ONE == X2
 
 
 def test_characteristic_two():
-    for a in GF4_ALL:
-        assert a + a == GF4_ZERO
+    for a in range(4):
+        assert a ^ a == ZERO
 
 
 def test_gf4_value_range():
     with pytest.raises(ValueError):
-        GF4(4)
+        LinearCode(4, [(ONE, X, X2)])
+    for bad in (4, -1):
+        with pytest.raises(ValueError):
+            LinearCode(3, [(ONE, bad, X)])
 
 
 def test_hexacode_parameters():
@@ -39,7 +47,7 @@ def test_hexacode_parameters():
     assert code.dimension == 3
     assert code.min_distance() == 4
     assert code.parameters() == (6, 3, 4)
-    assert sum(1 for _ in code.codewords()) == 64
+    assert len(code.words) == 64
 
 
 def test_hexacode_weight_distribution():
@@ -71,34 +79,66 @@ def test_alternate_generator_identification_is_equivalent():
 
 def test_zero_column_puncture_preserves_distance():
     rows = [
-        (GF4_ZERO, GF4_ONE, GF4_ONE, GF4_X),
-        (GF4_ZERO, GF4_ZERO, GF4_X, GF4_X2),
+        (ZERO, ONE, ONE, X),
+        (ZERO, ZERO, X, X2),
     ]
     code = LinearCode(4, rows)
     assert code.puncture(1).min_distance() == code.min_distance()
 
 
 def test_repetition_code_distance():
-    code = LinearCode(6, [(GF4_ONE,) * 6])
+    code = LinearCode(6, [(ONE,) * 6])
     assert code.min_distance() == 6
 
 
 def test_zero_code_has_no_distance():
-    code = LinearCode(4, [(GF4_ZERO,) * 4])
+    code = LinearCode(4, [(ZERO,) * 4])
     assert code.dimension == 0
     with pytest.raises(ValueError):
         code.min_distance()
 
 
-def _reference_codewords(code):
-    """The span enumerated with GF4 arithmetic over product(GF4_ALL, repeat=k)."""
+def _reference_words(length, rows):
+    """Every combination sum c_j * row_j over {0..3}^k, built coordinate by
+    coordinate with the field tables, one entry per coefficient vector."""
     words = []
-    for coeffs in product(GF4_ALL, repeat=code.dimension):
-        word = (GF4_ZERO,) * code.length
-        for c, row in zip(coeffs, code.basis):
-            word = tuple(w + c * v for w, v in zip(word, row))
-        words.append(word)
+    for coeffs in product(range(4), repeat=len(rows)):
+        word = [ZERO] * length
+        for c, row in zip(coeffs, rows):
+            word = [w ^ _MUL[c][v] for w, v in zip(word, row)]
+        words.append(tuple(word))
     return words
+
+
+def _decoded(code):
+    return {tuple(w >> 2 * i & 3 for i in range(code.length)) for w in code.words}
+
+
+def _assert_matches_reference(code, rows):
+    reference = set(_reference_words(code.length, rows))
+    assert _decoded(code) == reference
+    assert len(code.words) == len(reference) == 4**code.dimension
+    weights = Counter(sum(1 for v in w if v) for w in reference)
+    assert code.weight_distribution() == dict(sorted(weights.items()))
+
+
+@st.composite
+def _code_rows(draw):
+    """A length 1..6 and 0..4 rows: random rows, with zero rows and repeats
+    of them mixed in."""
+    length = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * length), max_size=4))
+    extra = st.sampled_from(rows + [(ZERO,) * length])
+    rows += draw(st.lists(extra, max_size=4 - len(rows)))
+    return length, draw(st.permutations(rows))
+
+
+@given(_code_rows())
+@example((6, [(1, 2, 0, 0, 3, 0), (0, 0, 1, 0, 0, 2), (1, 2, 0, 0, 3, 0), (0, 0, 0, 2, 1, 0)]))
+@example((4, [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 1), (0, 1, 2, 3)]))  # the whole space
+def test_words_match_the_coefficient_enumeration(length_rows):
+    length, rows = length_rows
+    _assert_matches_reference(LinearCode(length, rows), rows)
 
 
 def _codes_of_verify_codes():
@@ -107,31 +147,27 @@ def _codes_of_verify_codes():
             **{f"puncture{c}": code.puncture(c) for c in range(1, 7)}}
 
 
+def _counting_init(monkeypatch):
+    calls = []
+    init = LinearCode.__init__
+    monkeypatch.setattr(LinearCode, "__init__",
+                        lambda self, length, rows: calls.append(rows) or init(self, length, rows))
+    return calls
+
+
 @pytest.mark.parametrize("name", ["h6", "alternate"] + [f"puncture{c}" for c in range(1, 7)])
 def test_codewords_match_the_gf4_reference_and_are_enumerated_once(name, monkeypatch):
-    calls = []
-    span = gf4._span
-    monkeypatch.setattr(gf4, "_span", lambda basis: calls.append(basis) or span(basis))
     cached = _codes_of_verify_codes()[name]
-    code = LinearCode(cached.length, cached.basis)  # fresh, so nothing is enumerated yet
-    reference = _reference_codewords(code)
-    weights = {}
-    for w in reference:
-        weight = sum(1 for v in w if v)
-        weights[weight] = weights.get(weight, 0) + 1
-    assert list(code.codewords()) == reference
-    assert len(set(reference)) == 4**code.dimension
-    assert code.weight_distribution() == dict(sorted(weights.items()))
-    assert code.min_distance() == min(k for k in weights if k)
+    calls = _counting_init(monkeypatch)
+    code = LinearCode(cached.length, cached.rows)
+    _assert_matches_reference(code, cached.rows)
     assert code.parameters() == (code.length, 3, 4 if code.length == 6 else 3)
-    assert list(code.codewords()) == reference
+    # the reads above use the stored words and build no other code
     assert len(calls) == 1
 
 
 def test_verify_codes_enumerates_each_code_once(monkeypatch):
-    calls = []
-    span = gf4._span
-    monkeypatch.setattr(gf4, "_span", lambda basis: calls.append(basis) or span(basis))
+    calls = _counting_init(monkeypatch)
     h6_code.cache_clear()
     try:
         assert verify_codes().passed

@@ -19,7 +19,6 @@ from hadamard6.eisenstein import (
     SplitQuaternion,
 )
 from hadamard6.autgroup import _GF3, _gf3_span_size
-from hadamard6.gf4 import GF4_ALL, GF4_ZERO
 from hadamard6.matrices import H6_PHASES, ExactMatrix, h6, orthogonal_exponents, row_basis
 
 integers = st.integers(min_value=-9, max_value=9)
@@ -175,15 +174,6 @@ def test_gf3_span_size_matches_enumeration(rows):
     _assert_echelon(row_basis(gf3_rows), gf3_rows)
 
 
-@given(st.lists(st.tuples(*[st.sampled_from(GF4_ALL)] * 4), max_size=4))
-def test_gf4_row_basis_spans_the_rows(rows):
-    basis = row_basis(rows)
-    span = _span(rows, GF4_ALL, GF4_ZERO, 4)
-    assert len(span) == 4 ** len(basis)
-    assert _span(basis, GF4_ALL, GF4_ZERO, 4) == span
-    _assert_echelon(basis, rows)
-
-
 def _rank_over_q(matrix) -> int:
     """Rank by Gaussian elimination with Fraction pivots: a reference that
     shares nothing with row_basis."""
@@ -264,7 +254,6 @@ def _row_basis_unskipped(rows):
 _SPARSE_RINGS = {
     "Z[w]": (lambda rng: EisensteinRational(rng.randint(-2, 2), rng.randint(-2, 2)), E_ZERO),
     "GF(3)": (lambda rng: _GF3(rng.randrange(3)), _GF3(0)),
-    "GF(4)": (lambda rng: rng.choice(GF4_ALL), GF4_ZERO),
 }
 
 
