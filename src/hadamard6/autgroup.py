@@ -169,7 +169,7 @@ def tau2() -> XElement:
 
 @cache
 def star() -> XElement:
-    return XElement(MonomialMatrix.identity(6), MonomialMatrix.identity(6), 1)
+    return XElement(MonomialMatrix.diagonal((0,) * 6), MonomialMatrix.diagonal((0,) * 6), 1)
 
 
 @cache
@@ -602,17 +602,17 @@ def verify_prop2() -> Report:
     derived = derived_subgroup([g.to_perm36() for g in lin.generators])
     clauses.append(check("aut_perfect", "it is perfect", 1080, derived.order()))
 
-    # pi (the six-point projection g -> g.p.pi()) is a homomorphism.  Its
+    # pi (the six-point projection g -> g.p.perm) is a homomorphism.  Its
     # kernel has order |lin| / |pi(lin)| = 3, a prime, so it is <z> once z is
     # a nontrivial member that pi kills; z commutes with the generators, so
     # the kernel is central.  pi(lin) is simple of order 360, so nonabelian
     # with trivial center, and the center of lin lies in the kernel: Z = <z>.
-    qgens = [g.p.pi() for g in lin.generators]
+    qgens = [g.p.perm for g in lin.generators]
     qsize = bsgs_build(qgens).order()
     z = omega_pair()
     simple = is_simple_small(qgens)
     center_ok = (lin.order == 3 * qsize and lin.bsgs.contains(z.to_perm36())
-                 and not z.is_identity() and z.p.pi().is_identity()
+                 and not z.is_identity() and z.p.perm.is_identity()
                  and all(z * g == g * z for g in lin.generators) and simple)
     clauses.append(check("center", "center has order 3, generated by (wI, wI)", True, center_ok))
     clauses.append(check("central_quotient_order", "quotient by the center has order 360", 360, qsize))

@@ -143,8 +143,8 @@ def verify_theorem() -> Report:
     clauses.append(check("beta_unit_squares", "(B w^a)^2 = 1 for every cube-root phase",
                          True, units_ok))
 
-    ct1 = tau2prime().p.pi().cycle_type()
-    ct2 = tau2prime().q.pi().cycle_type()
+    ct1 = tau2prime().p.perm.cycle_type()
+    ct2 = tau2prime().q.perm.cycle_type()
     clauses.append(check("cycle_types", "the two projections of tau2' have different cycle types",
                          "(2, 1, 1, 1, 1) vs (2, 2, 2)", f"{ct1} vs {ct2}"))
 

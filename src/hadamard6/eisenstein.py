@@ -125,13 +125,9 @@ class SplitQuaternion:
 
     __slots__ = ("z", "v")
 
-    def __init__(self, z=0, v=0):
+    def __init__(self, z=E_ZERO, v=E_ZERO):
         self.z = z if isinstance(z, EisensteinRational) else EisensteinRational(z)
         self.v = v if isinstance(v, EisensteinRational) else EisensteinRational(v)
-
-    @classmethod
-    def from_complex(cls, z: EisensteinRational) -> "SplitQuaternion":
-        return cls(z, E_ZERO)
 
     @classmethod
     def unit(cls, a: int, b: int) -> "SplitQuaternion":

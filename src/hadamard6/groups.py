@@ -228,8 +228,6 @@ class BSGS:
         residue, _ = self._strip(g, 0)
         return residue.is_identity()
 
-    __contains__ = contains
-
     def strong_generators(self) -> list[Permutation]:
         seen = []
         for lvl in self._level_gens:
@@ -239,8 +237,8 @@ class BSGS:
         return seen
 
 
-def bsgs_build(gens, degree: int | None = None) -> BSGS:
-    return BSGS(gens, degree)
+def bsgs_build(gens) -> BSGS:
+    return BSGS(gens)
 
 
 OrbitStabilizer = namedtuple("OrbitStabilizer", "orbit_size stabilizer_generators")

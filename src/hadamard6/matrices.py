@@ -83,7 +83,7 @@ class ExactMatrix:
     def to_split_quaternion(self) -> "ExactMatrix":
         if self.ring is SplitQuaternion:
             raise ValueError("matrix already has split-quaternion entries")
-        out = tuple(SplitQuaternion.from_complex(e) for e in self.entries)
+        out = tuple(SplitQuaternion(e) for e in self.entries)
         return ExactMatrix(self.rows, self.cols, out)
 
     def __eq__(self, other):

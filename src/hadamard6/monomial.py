@@ -11,8 +11,11 @@ action.  With that convention
 and the permutation parts multiply exactly like the matrices do.  B-valued
 matrices have no product of their own: the unit law in MonomialBMatrix's
 docstring encodes a pair of them as a 36-point permutation (b_pair_perm36),
-and products are taken there.  Either kind multiplies a dense ExactMatrix
-over its ring, on either side, by moving and scaling its rows or columns.
+and products are taken there.  The two kinds share one body: validation,
+equality, hashing, text, to_matrix, and the product with a dense ExactMatrix
+over the kind's ring, on either side, by moving and scaling its rows or
+columns.  A kind sets only its ring, the unit and the name of each phase, and
+how its phases reduce.
 Text is output only, with no parser back: "[e1,...,en]" followed by the
 cycles of K ("[1,w,w2,1,1,1](1,2)"); the B-form entries append a B suffix,
 so the unit w^a * B prints as "wB", "w2B" or "B".
@@ -20,11 +23,10 @@ so the unit w^a * B prints as "wB", "w2B" or "B".
 
 from __future__ import annotations
 
-from .eisenstein import E_ZERO, OMEGA_POWERS, SQ_ZERO, EisensteinRational, SplitQuaternion
+from .eisenstein import OMEGA_POWERS, EisensteinRational, SplitQuaternion
 from .matrices import ExactMatrix
 from .perms import Permutation
 
-_ENTRY_NAMES = {0: "1", 1: "w", 2: "w2"}
 # Row r of a B-monomial component, with unit w^x B^y and image s, is coded
 # 12x + 6y + s; _B_PAIR_TABLES[half][c] sends that code to the image of the
 # point (c, r) in that half of the 36 points, by the unit law.
@@ -33,14 +35,6 @@ _B_PAIR_TABLES = tuple(
                 for x in range(3) for y in range(2) for s in range(6)).ljust(256, b"\0")
           for c in range(3))
     for base in (0, 18))
-
-
-def _dense_dk(units, perm: Permutation, zero) -> ExactMatrix:
-    n = len(units)
-    entries = [zero] * (n * n)
-    for i, j in enumerate(perm.images):
-        entries[i * n + j] = units[i]
-    return ExactMatrix(n, n, entries)
 
 
 def _row_move(self, m):
@@ -66,33 +60,66 @@ def _col_move(self, m):
     return ExactMatrix(m.rows, n, out)
 
 
-class MonomialMatrix:
-    """D*K with D = diag(w^phases) and K the permutation matrix of perm."""
+class _Monomial:
+    """D*K with D = diag(_unit(phase) for each phase) and K the permutation
+    matrix of perm.  A kind sets _ring, _unit and _names, and reduces its
+    phases before they reach this __init__."""
 
     __slots__ = ("phases", "perm")
-    _ring = EisensteinRational
     __matmul__ = _row_move
     __rmatmul__ = _col_move
 
-    def __init__(self, phases, perm: Permutation):
-        phases = tuple(p % 3 for p in phases)
+    def __init__(self, phases: tuple, perm: Permutation):
         if len(phases) != perm.degree:
             raise ValueError("phase vector length does not match degree")
         self.phases = phases
         self.perm = perm
 
-    @classmethod
-    def identity(cls, n: int) -> "MonomialMatrix":
-        return cls((0,) * n, Permutation.identity(n))
+    @property
+    def degree(self) -> int:
+        return len(self.phases)
+
+    def _units(self) -> list:
+        return list(map(self._unit, self.phases))
+
+    def to_matrix(self) -> ExactMatrix:
+        n = self.degree
+        entries = [self._ring()] * (n * n)
+        for i, (u, j) in enumerate(zip(self._units(), self.perm.images)):
+            entries[i * n + j] = u
+        return ExactMatrix(n, n, entries)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.phases == other.phases and self.perm == other.perm
+
+    def __hash__(self):
+        return hash((self.phases, self.perm.images))
+
+    def __str__(self):
+        cyc = "" if self.perm.is_identity() else str(self.perm)
+        return f"[{','.join(map(self._names.__getitem__, self.phases))}]{cyc}"
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"
+
+
+class MonomialMatrix(_Monomial):
+    """D*K with D = diag(w^phases) and K the permutation matrix of perm."""
+
+    __slots__ = ()
+    _ring = EisensteinRational
+    _unit = OMEGA_POWERS.__getitem__
+    _names = ("1", "w", "w2")
+
+    def __init__(self, phases, perm: Permutation):
+        super().__init__(tuple(p % 3 for p in phases), perm)
 
     @classmethod
     def diagonal(cls, phases) -> "MonomialMatrix":
         phases = tuple(phases)
         return cls(phases, Permutation.identity(len(phases)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.phases)
 
     def __mul__(self, other):
         if not isinstance(other, MonomialMatrix):
@@ -110,35 +137,10 @@ class MonomialMatrix:
         phases = tuple((-self.phases[ii[r]]) % 3 for r in range(self.degree))
         return MonomialMatrix(phases, inv)
 
-    def pi(self) -> Permutation:
-        """The permutation part K; P -> K is a homomorphism."""
-        return self.perm
 
-    def _units(self) -> list:
-        return [OMEGA_POWERS[p] for p in self.phases]
-
-    def to_matrix(self) -> ExactMatrix:
-        return _dense_dk(self._units(), self.perm, E_ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialMatrix):
-            return NotImplemented
-        return self.phases == other.phases and self.perm == other.perm
-
-    def __hash__(self):
-        return hash((self.phases, self.perm.images))
-
-    def __str__(self):
-        diag = ",".join(_ENTRY_NAMES[p] for p in self.phases)
-        cyc = "" if self.perm.is_identity() else str(self.perm)
-        return f"[{diag}]{cyc}"
-
-    def __repr__(self):
-        return f"<MonomialMatrix {self}>"
-
-
-class MonomialBMatrix:
-    """Monomial matrix with unit entries w^a * B^b; same D*K convention.
+class MonomialBMatrix(_Monomial):
+    """Monomial matrix with unit entries w^a * B^b, phase (a, b); same D*K
+    convention.
 
     The units multiply by w^a B^b * w^c B^d = w^(a + (-1)^b c) B^(b+d) and
     form a group isomorphic to S3, which acts faithfully on the phases c mod 3
@@ -152,54 +154,19 @@ class MonomialBMatrix:
     the encoding, which the tests pin against to_matrix products.
     """
 
-    __slots__ = ("phases", "perm")
+    __slots__ = ()
     _ring = SplitQuaternion
-    __matmul__ = _row_move
-    __rmatmul__ = _col_move
+    _unit = staticmethod(lambda phase: SplitQuaternion.unit(*phase))
+    _names = {(0, 0): "1", (1, 0): "w", (2, 0): "w2", (0, 1): "B", (1, 1): "wB", (2, 1): "w2B"}
 
     def __init__(self, phases, perm: Permutation):
-        phases = tuple((a % 3, b % 2) for a, b in phases)
-        if len(phases) != perm.degree:
-            raise ValueError("phase vector length does not match degree")
-        self.phases = phases
-        self.perm = perm
+        super().__init__(tuple((a % 3, b % 2) for a, b in phases), perm)
 
     @classmethod
     def from_monomial(cls, m: MonomialMatrix, with_beta: bool) -> "MonomialBMatrix":
         """m itself, or m * (B I); K commutes with the scalar B."""
         b = 1 if with_beta else 0
         return cls([(a, b) for a in m.phases], m.perm)
-
-    @property
-    def degree(self) -> int:
-        return len(self.phases)
-
-    def _units(self) -> list:
-        return [SplitQuaternion.unit(a, b) for a, b in self.phases]
-
-    def to_matrix(self) -> ExactMatrix:
-        return _dense_dk(self._units(), self.perm, SQ_ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialBMatrix):
-            return NotImplemented
-        return self.phases == other.phases and self.perm == other.perm
-
-    def __hash__(self):
-        return hash((self.phases, self.perm.images))
-
-    def __str__(self):
-        names = []
-        for a, b in self.phases:
-            if b == 0:
-                names.append(_ENTRY_NAMES[a])
-            else:
-                names.append("B" if a == 0 else _ENTRY_NAMES[a] + "B")
-        cyc = "" if self.perm.is_identity() else str(self.perm)
-        return f"[{','.join(names)}]{cyc}"
-
-    def __repr__(self):
-        return f"<MonomialBMatrix {self}>"
 
 
 def b_pair_perm36(a: MonomialBMatrix, b: MonomialBMatrix) -> Permutation:

@@ -80,7 +80,7 @@ def _closure_table(pairs) -> AutoTable:
 def build_outer() -> AutoTable:
     """sigma: the first projection of each element of Y to its second, from
     the two projections of Y's generators and completed by closure."""
-    return _closure_table([(g.p.pi(), g.q.pi()) for g in (tau1(), tau2prime())])
+    return _closure_table([(g.p.perm, g.q.perm) for g in (tau1(), tau2prime())])
 
 
 _STARS = tuple(Permutation.parse(f"(1,{k})", 6).images for k in range(2, 7))

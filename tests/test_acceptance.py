@@ -171,8 +171,8 @@ def test_a09_intertwining_theorem():
         ok = ok and rgh.a.to_matrix() == rg.a.to_matrix() @ rh.a.to_matrix()
         ok = ok and rgh.b.to_matrix() == rg.b.to_matrix() @ rh.b.to_matrix()
         ok = ok and verify_intertwining(g)
-    ok = ok and tau2prime().p.pi().cycle_type() == (2, 1, 1, 1, 1)
-    ok = ok and tau2prime().q.pi().cycle_type() == (2, 2, 2)
+    ok = ok and tau2prime().p.perm.cycle_type() == (2, 1, 1, 1, 1)
+    ok = ok and tau2prime().q.perm.cycle_type() == (2, 2, 2)
     _report("A09", ok, "intertwining equation exact; involution; (B w^a)^2 = 1; 100 random words multiplicative; cycle types differ")
 
 

@@ -177,8 +177,8 @@ def test_rhs_is_an_involution():
 
 
 def test_cycle_types_of_the_two_projections():
-    assert tau2prime().p.pi().cycle_type() == (2, 1, 1, 1, 1)
-    assert tau2prime().q.pi().cycle_type() == (2, 2, 2)
+    assert tau2prime().p.perm.cycle_type() == (2, 1, 1, 1, 1)
+    assert tau2prime().q.perm.cycle_type() == (2, 2, 2)
 
 
 def test_commutant_is_one_dimensional():
@@ -212,7 +212,7 @@ def test_commutant_orbit_count_matches_the_dense_commutator_rank():
     swap = Permutation.parse("(1,2)", 6)
     cases = [
         ([g.p for g in compute_aut_linear().generators], 1),
-        ([MonomialMatrix.identity(6)], 36),
+        ([MonomialMatrix.diagonal((0,) * 6)], 36),
         ([MonomialMatrix((0,) * 6, Permutation.parse("(1,2,3,4,5,6)", 6))], 6),
         ([MonomialMatrix.diagonal((0, 1, 2, 0, 1, 2))], 12),
         # (1,2) alone has 26 orbits on the entries; with the phase w on row 1,

@@ -89,7 +89,7 @@ def test_multiplication_law_frozen(p, q):
 
 def test_beta_relations():
     assert BETA * BETA == SQ_ONE
-    bw = BETA * SplitQuaternion.from_complex(OMEGA)
+    bw = BETA * SplitQuaternion(OMEGA)
     assert bw == SplitQuaternion(E_ZERO, OMEGA2)  # B w = conj(w) B
     assert bw * bw == SQ_ONE
 
@@ -113,10 +113,10 @@ def test_splitquat_unital(p):
 
 @given(eisenstein, eisenstein)
 def test_complex_subfield_embeds(x, y):
-    px = SplitQuaternion.from_complex(x)
-    py = SplitQuaternion.from_complex(y)
-    assert px * py == SplitQuaternion.from_complex(x * y)
-    assert px + py == SplitQuaternion.from_complex(x + y)
+    px = SplitQuaternion(x)
+    py = SplitQuaternion(y)
+    assert px * py == SplitQuaternion(x * y)
+    assert px + py == SplitQuaternion(x + y)
 
 
 def test_splitquat_str():
@@ -165,6 +165,6 @@ def test_equal_values_hash_equal_across_routes(q):
 
 @given(eisenstein)
 def test_complex_split_quaternions_hash_like_their_complex_part(x):
-    p = SplitQuaternion.from_complex(x)
+    p = SplitQuaternion(x)
     assert p == x and x == p
     assert hash(p) == hash(x)

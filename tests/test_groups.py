@@ -102,7 +102,7 @@ def test_membership():
 
 
 def test_bsgs_trivial_group():
-    b = bsgs_build([], degree=5)
+    b = BSGS([], 5)
     assert b.order() == 1
     assert b.contains(Permutation.identity(5))
     assert not b.contains(Permutation.parse("(1,2)", 5))
@@ -484,7 +484,7 @@ def test_is_simple_small():
 
 def test_conjugacy_classes_on_image_bytes_match_the_product_reference():
     s4 = [Permutation.parse("(1,2,3,4)", 4), Permutation.parse("(1,2)", 4)]
-    quotient = [g.p.pi() for g in compute_aut_linear().generators]
+    quotient = [g.p.perm for g in compute_aut_linear().generators]
     for gens, sizes in ((s4, [1, 3, 6, 6, 8]), (quotient, [1, 40, 40, 45, 72, 72, 90])):
         classes = groups._conjugacy_classes(gens)
         assert sorted(map(len, classes)) == sizes
@@ -603,9 +603,9 @@ def _product_hom_closure(pairs):
 
 
 def _enumeration_cases():
-    sigma = [(g.p.pi(), g.q.pi()) for g in (tau1(), tau2prime())]
+    sigma = [(g.p.perm, g.q.perm) for g in (tau1(), tau2prime())]
     totals = outer.totals_outer()
-    quotient = [g.p.pi() for g in compute_aut_linear().generators]
+    quotient = [g.p.perm for g in compute_aut_linear().generators]
     stabilizer = [tau1().to_perm36(), (tau2() * star()).to_perm36()]
     return {
         "sigma": (sigma, 720),

@@ -35,7 +35,7 @@ def test_to_matrix_places_phases_on_rows():
 
 
 def test_identity_to_matrix():
-    assert MonomialMatrix.identity(6).to_matrix() == ExactMatrix.identity(6)
+    assert MonomialMatrix.diagonal((0,) * 6).to_matrix() == ExactMatrix.identity(6)
 
 
 def test_compose_matches_matrix_product():
@@ -49,7 +49,7 @@ def test_pi_is_a_homomorphism():
     rng = random.Random(2)
     for _ in range(100):
         a, b = random_monomial(rng), random_monomial(rng)
-        assert (a * b).pi() == a.pi() * b.pi()
+        assert (a * b).perm == a.perm * b.perm
 
 
 def test_tau2_first_component_squared_is_diagonal():
@@ -63,7 +63,7 @@ def test_tau2_first_component_squared_is_diagonal():
 
 def test_identity_law():
     rng = random.Random(8)
-    e = MonomialMatrix.identity(6)
+    e = MonomialMatrix.diagonal((0,) * 6)
     for _ in range(20):
         m = random_monomial(rng)
         assert e * m == m
@@ -73,7 +73,7 @@ def test_identity_law():
 def test_diagonal_inverse_pair():
     a = MonomialMatrix.diagonal((1,) * 6)
     b = MonomialMatrix.diagonal((2,) * 6)
-    assert a * b == MonomialMatrix.identity(6)
+    assert a * b == MonomialMatrix.diagonal((0,) * 6)
 
 
 def test_diagonal_accepts_a_generator():
@@ -86,8 +86,8 @@ def test_inverse():
     rng = random.Random(4)
     for _ in range(50):
         m = random_monomial(rng)
-        assert m * m.inverse() == MonomialMatrix.identity(6)
-        assert m.inverse() * m == MonomialMatrix.identity(6)
+        assert m * m.inverse() == MonomialMatrix.diagonal((0,) * 6)
+        assert m.inverse() * m == MonomialMatrix.diagonal((0,) * 6)
     k = MonomialMatrix((0,) * 6, Permutation.parse("(1,2,3)", 6))
     assert k.inverse() == MonomialMatrix((0,) * 6, Permutation.parse("(1,3,2)", 6))
     d = MonomialMatrix.diagonal((1, 0, 0, 0, 0, 0))
@@ -96,11 +96,11 @@ def test_inverse():
 
 def test_degree_mismatch():
     with pytest.raises(ValueError):
-        MonomialMatrix.identity(6) * MonomialMatrix.identity(5)
+        MonomialMatrix.diagonal((0,) * 6) * MonomialMatrix.diagonal((0,) * 5)
 
 
 def test_text_round_trip():
-    assert str(MonomialMatrix.identity(6)) == "[1,1,1,1,1,1]"
+    assert str(MonomialMatrix.diagonal((0,) * 6)) == "[1,1,1,1,1,1]"
     assert str(MonomialMatrix((0, 0, 1, 2, 2, 1), Permutation.parse("(1,2)", 6))) == "[1,1,w,w2,w2,w](1,2)"
 
 
@@ -148,7 +148,7 @@ def test_conjugated_b_matrix_is_an_involution():
 
 
 def test_beta_identity_squares():
-    beta_i = MonomialBMatrix.from_monomial(MonomialMatrix.identity(6), with_beta=True)
+    beta_i = MonomialBMatrix.from_monomial(MonomialMatrix.diagonal((0,) * 6), with_beta=True)
     e = b_pair_perm36(beta_i, beta_i)
     assert not e.is_identity() and (e * e).is_identity()
     assert beta_i.to_matrix() @ beta_i.to_matrix() == I6
@@ -274,3 +274,22 @@ def test_monomial_products_reject_a_wrong_degree_or_ring():
                 operand @ mono
         with pytest.raises(TypeError):
             mono @ 3
+
+
+@pytest.mark.parametrize("kind, ring, one, phases, text, shift", [
+    (MonomialMatrix, EisensteinRational, 0, (0, 1, 2, 0, 0, 0), "[1,w,w2,1,1,1](1,2)", lambda p: p + 3),
+    (MonomialBMatrix, SplitQuaternion, (0, 0), ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)),
+     "[1,w,w2,B,wB,w2B](1,2)", lambda p: (p[0] - 3, p[1] + 2)),
+], ids=["cube roots", "split quaternion units"])
+def test_each_kind_keeps_its_ring_class_hash_and_unit_names(kind, ring, one, phases, text, shift):
+    # the two kinds share one body; what it reads off the kind must differ
+    k = Permutation.parse("(1,2)", 6)
+    ones = kind((one,) * 6, k)
+    assert ones.to_matrix().ring is ring
+    assert repr(ones) == f"<{kind.__name__} [1,1,1,1,1,1](1,2)>"
+    m = kind(phases, k)
+    assert str(m) == text
+    assert m.to_matrix().ring is ring
+    twin = kind([shift(p) for p in phases], Permutation.parse("(1,2)", 6))
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    assert twin != ones

@@ -51,9 +51,9 @@ def test_sigma_generator_images():
 def test_sigma_maps_the_first_projection_of_y_to_the_second():
     y = [XElement.from_perm36(g) for g in closure([tau1().perm, tau2prime().perm])]
     assert len(y) == 720
-    assert len({g.p.pi() for g in y}) == 720
+    assert len({g.p.perm for g in y}) == 720
     sigma = build_outer()
-    assert all(sigma.apply(g.p.pi()) == g.q.pi() for g in y)
+    assert all(sigma.apply(g.p.perm) == g.q.perm for g in y)
 
 
 def test_sigma_on_the_six_cycle():
