@@ -41,7 +41,7 @@ from .groups import (
     normal_closure,
     orbit_stabilizer,
 )
-from .matrices import H6_PHASES, ExactMatrix, h6, orthogonal_exponents, row_basis
+from .matrices import H6_PHASES, ExactMatrix, h6, orthogonal_exponents
 from .monomial import MonomialMatrix
 from .perms import Permutation
 from .report import Clause, Report, check
@@ -339,27 +339,32 @@ def _translation(d, e) -> tuple[int, ...]:
     return tuple((x - y) % 3 for y in d for x in e)
 
 
-def _coset_name(h: tuple) -> tuple:
-    """The state naming the coset h + V, where V is the set of translations
-    of the zero-sum diagonal pairs: h minus the one member of V that agrees
-    with h on row 0 past its first entry and on column 0 in rows 1..4.  Adding
-    one constant to d and e changes no translation, so take d_0 = 0: those 9
-    entries fix e_1..e_5, then e_0 and d_1..d_4 by Sigma e = 0, and d_5 by
-    Sigma d = 0.  So a member of V that is zero there is zero, and as
-    |V| = 3^9, two states get one name exactly when they differ by V."""
+def _zero_sum_pair(h: tuple) -> tuple[tuple, tuple]:
+    """The zero-sum diagonal pair (d, e) with d_0 = 0 whose translation
+    agrees with h on row 0 past its first entry and on column 0 in rows
+    1..4.  Adding one constant to d and e changes no translation, so every
+    zero-sum pair translates as one such pair does: those 9 entries fix
+    e_1..e_5, then e_0 and d_1..d_4 by Sigma e = 0, and d_5 by Sigma d = 0."""
     e = (-sum(h[1:6]),) + tuple(h[1:6])
     d = (0,) + tuple(e[0] - h[6 * r] for r in range(1, 5))
-    return _difference(h, _translation(d + (-sum(d),), e))
+    return d + (-sum(d),), e
+
+
+def _coset_name(h: tuple) -> tuple:
+    """The state naming the coset h + V, where V is the set of translations
+    of the zero-sum diagonal pairs: h minus the translation of
+    _zero_sum_pair(h), the one member of V that agrees with h on the 9
+    entries that pair reads.  So two states get one name exactly when they
+    differ by V."""
+    return _difference(h, _translation(*_zero_sum_pair(h)))
 
 
 def _untranslate(v: tuple) -> Permutation | None:
     """The zero-sum diagonal pair that translates phase states by -v, or None
-    unless v is in V.  The candidate (d, e) has d_0 = 0 and agrees with v on
-    row 0 and column 0; the sums of d and e mod 3 are the same for every pair
-    with translation v, since those pairs differ by multiples of (1, 1)."""
-    e = v[:6]
-    d = tuple(v[0] - v[6 * r] for r in range(6))
-    if sum(d) % 3 or sum(e) % 3 or _translation(d, e) != v:
+    unless v is in V: the translation of _zero_sum_pair(v) is v exactly when
+    v is in V."""
+    d, e = _zero_sum_pair(v)
+    if _translation(d, e) != v:
         return None
     return _diag_pair([-x for x in d], [-x for x in e]).perm
 
@@ -436,38 +441,33 @@ def m_vectors() -> list[tuple[int, ...]]:
     return [v for v in product(range(3), repeat=6) if sum(v) % 3 == 0]
 
 
-class _GF3(int):
-    """An integer mod 3 for row_basis, which needs only -, * and bool."""
-
-    def __new__(cls, x):
-        return super().__new__(cls, x % 3)
-
-    def __sub__(self, other):
-        return _GF3(int(self) - other)
-
-    def __mul__(self, other):
-        return _GF3(int(self) * other)
-
-
-def _gf3_span_size(vectors) -> int:
-    return 3 ** len(row_basis(tuple(map(_GF3, v)) for v in vectors))
+def _gf3_span_size(rows, maps=()) -> int:
+    """The size of the smallest GF(3) space that holds the rows (entries
+    read mod 3) and that each coordinate map m, w -> (w[i] for i in m), maps
+    into itself.  Against a basis row b with leading position lead, a row
+    with a nonzero entry c there becomes b[lead] * row - c * b mod 3, so
+    nothing divides.  A row that survives joins the basis, and its images
+    join the rows to be read; the maps are linear, so the span is closed."""
+    pending = [tuple(x % 3 for x in row) for row in rows]
+    basis: list[tuple[int, tuple]] = []
+    for row in pending:
+        for lead, b in basis:
+            c = row[lead]
+            if c:
+                p = b[lead]
+                row = tuple((p * x - c * y) % 3 for x, y in zip(row, b))
+        if any(row):
+            basis.append((next(i for i, x in enumerate(row) if x), row))
+            pending += [tuple(row[i] for i in m) for m in maps]
+    return 3 ** len(basis)
 
 
 def submodule_closure_size(v) -> int:
     """Size of the smallest set containing v closed under coordinate
-    permutations and componentwise addition: the span of v, grown by the
-    images of its basis vectors under two generators of the symmetric group
-    until both map every basis vector back into it."""
+    permutations and componentwise addition: the span of v closed under two
+    generators of the symmetric group."""
     gens = [Permutation.parse("(1,2)", 6), Permutation.parse("(1,2,3,4,5,6)", 6)]
-    maps = [g.inverse().images for g in gens]
-    basis = row_basis([tuple(map(_GF3, v))])
-    done = 0
-    while done < len(basis):
-        w = basis[done]
-        done += 1
-        # the first `done` rows pass through row_basis unchanged
-        basis = row_basis(basis + [tuple(w[i] for i in m) for m in maps])
-    return 3 ** len(basis)
+    return _gf3_span_size([v], [g.inverse().images for g in gens])
 
 
 # ---------------------------------------------------------------------------

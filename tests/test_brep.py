@@ -23,7 +23,7 @@ from hadamard6.brep import (
 )
 from hadamard6.eisenstein import EisensteinRational, SplitQuaternion
 from hadamard6.groups import BSGS
-from hadamard6.matrices import ExactMatrix, h6, row_basis
+from hadamard6.matrices import ExactMatrix, h6
 from hadamard6.monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
 from hadamard6.perms import Permutation
 
@@ -208,7 +208,7 @@ def _random_monomial(rng):
     return MonomialMatrix([rng.randrange(3) for _ in range(6)], Permutation(images))
 
 
-def test_commutant_orbit_count_matches_the_dense_commutator_rank():
+def test_commutant_orbit_count_matches_the_dense_commutator_rank(row_basis):
     swap = Permutation.parse("(1,2)", 6)
     cases = [
         ([g.p for g in compute_aut_linear().generators], 1),
@@ -231,7 +231,7 @@ def test_commutant_orbit_count_matches_the_dense_commutator_rank():
     assert len(dimensions) > 5
 
 
-def test_commutant_dimension_skips_zero_products(monkeypatch):
+def test_commutant_dimension_skips_zero_products(monkeypatch, row_basis):
     # row_basis forms no product with a zero entry: 912 products on the
     # generators' dense system, against 14,616 when every entry is
     # cross-multiplied
