@@ -1,25 +1,10 @@
 """The group X generated by two monomial pairs and entrywise conjugation,
-acting on 6x6 matrices over Q(w), together with its faithful 36-point
-permutation image, the 18-point row action, the stabilizer of the distinguished
-Hadamard matrix, and mechanised structure verification.
+acting on 6x6 matrices over Q(w), and its structure: the chains of X and
+its subgroups, the stabilizer of the distinguished Hadamard matrix found
+through the phase formula, and mechanised structure verification.  The
+elements of X, their point labels and the named generators are in
+elements.py.
 
-Element (P, Q, eps) acts by H -> (P^-1 H Q), entrywise conjugated iff eps = 1.
-The composition law making that a right action is
-
-    (P1, Q1, e1) * (P2, Q2, e2) = (P1 * conj^e1(P2), Q1 * conj^e1(Q2), e1 + e2)
-
-An element is stored as its 36-point image alone, so X multiplies as that
-image does; randomized tests pin the image against this law and the law
-against the functional equation H^(g1 g2) = (H^g1)^g2.
-
-Point labels are frozen by the stacking convention H, wH, w2H: row states
-(a, r) are numbered 6a + r with r = 1..6 (1-based at the text boundary,
-0-based in code), and an element with first component D*K, D = diag(w^d),
-sends
-
-    (a, r)  ->  ((-1)^eps * (a - d_r),  r^K)
-
-Columns behave the same way on points 19..36 using the second component.
 Commutators are [a, b] = a^-1 b^-1 a b and conjugation is a^b = b^-1 a b;
 this choice is pinned by the frozen diagonal commutator values in the tests.
 """
@@ -30,6 +15,7 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, product
 
+from .elements import Subgroup, XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
 from .groups import (
     BSGS,
     action_kernel_order,
@@ -41,148 +27,14 @@ from .groups import (
     normal_closure,
     orbit_stabilizer,
 )
-from .matrices import H6_PHASES, ExactMatrix, h6, orthogonal_exponents
+from .matrices import H6_PHASES, h6, orthogonal_exponents
 from .monomial import MonomialMatrix
 from .perms import Permutation
 from .report import Clause, Report, check
 
-_new = object.__new__
-
-
-class XElement:
-    """An element (P, Q, eps) of X, stored as its faithful 36-point image:
-    products, inverses and equality are those of the image, and P, Q and eps
-    are read back off it on each access."""
-
-    __slots__ = ("perm",)
-
-    def __init__(self, p: MonomialMatrix, q: MonomialMatrix, eps: int):
-        if p.degree != 6 or q.degree != 6:
-            raise ValueError("X acts on 6x6 matrices: components must have degree 6")
-        sign = -1 if eps % 2 else 1
-        img = bytearray(36)
-        for base, m in ((0, p), (18, q)):
-            for r, (d, s) in enumerate(zip(m.phases, m.perm.images)):
-                for a in range(3):
-                    img[base + 6 * a + r] = base + 6 * (sign * (a - d) % 3) + s
-        self.perm = Permutation._raw(bytes(img))
-
-    @classmethod
-    def _raw(cls, perm: Permutation) -> "XElement":
-        # trusted internal path: perm is already the image of an element of X
-        g = _new(cls)
-        g.perm = perm
-        return g
-
-    @property
-    def eps(self) -> int:
-        """1 iff row state (1, 1) lands one phase below the image of (0, 1)."""
-        img = self.perm.images
-        return int((img[6] - img[0]) // 6 % 3 == 2)
-
-    def _component(self, base: int) -> MonomialMatrix:
-        # state (0, r) goes to (-d_r, r^K), negated when eps = 1
-        sign = 1 if self.eps else -1
-        a, s = zip(*(divmod(x - base, 6) for x in self.perm.images[base:base + 6]))
-        return MonomialMatrix([sign * x for x in a], Permutation._raw(bytes(s)))
-
-    @property
-    def p(self) -> MonomialMatrix:
-        return self._component(0)
-
-    @property
-    def q(self) -> MonomialMatrix:
-        return self._component(18)
-
-    def __mul__(self, other):
-        if not isinstance(other, XElement):
-            return NotImplemented
-        return XElement._raw(self.perm * other.perm)
-
-    def inverse(self) -> "XElement":
-        return XElement._raw(self.perm.inverse())
-
-    def is_identity(self) -> bool:
-        return self.perm.is_identity()
-
-    def act(self, H: ExactMatrix) -> ExactMatrix:
-        """(P^-1 H Q), conjugated entrywise iff eps = 1, by a row move and a
-        column move; ValueError unless H is 6x6 over Q(w)."""
-        m = self.p.inverse() @ H @ self.q
-        if not self.eps:
-            return m
-        return ExactMatrix(6, 6, (x.conj() for x in m.entries))
-
-    def to_perm36(self) -> Permutation:
-        """Faithful image on 18 row states plus 18 column states."""
-        return self.perm
-
-    def to_perm18(self) -> Permutation:
-        """The row-only action; its kernel on X has order 3^5."""
-        return Permutation._raw(self.perm.images[:18])
-
-    @classmethod
-    def from_perm36(cls, perm: Permutation) -> "XElement":
-        """The element whose image is perm; ValueError unless perm lies in
-        the image of X, i.e. re-encoding its decoded parts gives it back."""
-        if perm.degree != 36:
-            raise ValueError("expected a 36-point permutation")
-        g = cls._raw(perm)
-        if cls(g.p, g.q, g.eps).perm != perm:
-            raise ValueError("permutation is not in the image of X")
-        return g
-
-    def __eq__(self, other):
-        if not isinstance(other, XElement):
-            return NotImplemented
-        return self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-    def __str__(self):
-        s = f"({self.p}, {self.q})"
-        return s + "*" if self.eps else s
-
-    def __repr__(self):
-        return f"<XElement {self}>"
-
 
 # ---------------------------------------------------------------------------
 # named elements
-
-
-@cache
-def tau1() -> XElement:
-    k = Permutation.parse("(2,3,4,5,6)", 6)
-    return XElement(MonomialMatrix((0,) * 6, k), MonomialMatrix((0,) * 6, k), 0)
-
-
-@cache
-def tau2() -> XElement:
-    return XElement(
-        MonomialMatrix((0, 0, 1, 2, 2, 1), Permutation.parse("(1,2)", 6)),
-        MonomialMatrix((0, 0, 2, 1, 1, 2), Permutation.parse("(1,2)(3,6)(4,5)", 6)),
-        0,
-    )
-
-
-@cache
-def star() -> XElement:
-    return XElement(MonomialMatrix.diagonal((0,) * 6), MonomialMatrix.diagonal((0,) * 6), 1)
-
-
-@cache
-def tau2prime() -> XElement:
-    literal = XElement(
-        MonomialMatrix((0,) * 6, Permutation.parse("(1,2)", 6)),
-        MonomialMatrix((0,) * 6, Permutation.parse("(1,2)(3,6)(4,5)", 6)),
-        0,
-    )
-    derived = commutator(tau2(), star()).inverse() * tau2()
-    if derived != literal:
-        raise AssertionError("derived value of tau2' disagrees with the literal one")
-    return literal
 
 
 @cache
@@ -249,12 +101,6 @@ def y_bsgs() -> BSGS:
     return bsgs_build([tau1().to_perm36(), tau2prime().to_perm36()])
 
 
-@cache
-def stabilizer_span() -> BSGS:
-    """Chain of <tau1, tau2 *>; prop2 proves it is the stabilizer of h6()."""
-    return bsgs_build([tau1().to_perm36(), (tau2() * star()).to_perm36()])
-
-
 def _row_col_block(p: int) -> int:
     """Forget phases: each of the 12 blocks is one row or column index."""
     return p % 6 if p < 18 else 6 + (p - 18) % 6
@@ -264,19 +110,6 @@ def _row_restriction_block(p: int) -> int:
     """Row points stay themselves; all column points collapse to one block."""
     return p if p < 18 else 18
 
-
-class Subgroup:
-    """A subgroup of X: generators, and the chain of their 36-point images."""
-
-    __slots__ = ("generators", "bsgs")
-
-    def __init__(self, generators: tuple[XElement, ...], bsgs: BSGS):
-        self.generators = generators
-        self.bsgs = bsgs
-
-    @property
-    def order(self) -> int:
-        return self.bsgs.order()
 
 
 @cache
@@ -421,15 +254,6 @@ def compute_aut_star() -> Stabilizer:
         raise AssertionError("a stabilizer generator does not fix h6()")
     return Stabilizer(generators, bsgs_build(kept), orbit.orbit_size * 3**9)
 
-
-@cache
-def compute_aut_linear() -> Subgroup:
-    """The eps = 0 subgroup of <tau1, tau2 *>, the stabilizer of h6() by prop2:
-    Schreier generators of the conjugation flag's 2-state orbit."""
-    flag = orbit_stabilizer((tau1().perm, (tau2() * star()).perm),
-                            lambda f, g: (f + XElement._raw(g).eps) % 2, 0)
-    gens = flag.stabilizer_generators
-    return Subgroup(tuple(map(XElement._raw, gens)), bsgs_build(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .autgroup import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
 from .eisenstein import SQ_ONE, SplitQuaternion
+from .elements import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
 from .groups import _point_act, _schreier_search
 from .matrices import ExactMatrix, h6
 from .monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36

@@ -19,8 +19,9 @@ import json
 import os
 import sys
 
-from . import autgroup, brep, gf4, outer
-from .perms import Permutation
+# No attribute of these modules is read at import time: the package loads
+# each on first use, so a command compiles only the modules it reaches.
+from . import autgroup, brep, gf4, outer, perms
 
 DEFAULT_SEED = 0
 # Each entry looks its function up on the module when called, so a wrapper
@@ -103,7 +104,7 @@ def _cmd_outer(args) -> int:
         print(json.dumps(outer.build_outer().to_json(), indent=2))
         return 0
     try:
-        g = Permutation.parse(args.cycles, 6)
+        g = perms.Permutation.parse(args.cycles, 6)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

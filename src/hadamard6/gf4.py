@@ -13,6 +13,7 @@ from collections import Counter
 from functools import cache
 
 from .matrices import H6_PHASES
+from .report import Report, check
 
 _MUL = (
     (0, 0, 0, 0),
@@ -71,8 +72,6 @@ def h6_code(alternate_generator: bool = False) -> LinearCode:
 
 
 def verify_codes():
-    from .report import Report, check
-
     code = h6_code()
     punctures_ok = all(code.puncture(c).parameters() == (5, 3, 3) for c in range(1, 7))
     clauses = [

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from functools import cache
 
-from .autgroup import tau1, tau2prime
+from .elements import tau1, tau2prime
 from .groups import InconsistentImagesError, hom_closure
 from .perms import _IDENT, Permutation
+from .report import Report, check
 
 
 class AutoTable:
@@ -183,8 +184,6 @@ def totals_outer() -> AutoTable:
 
 
 def verify_outer():
-    from .report import Report, check
-
     sigma = build_outer()
     clauses = [
         check("synthemes", "there are 15 synthemes", 15, len(all_synthemes())),

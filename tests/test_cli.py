@@ -209,7 +209,7 @@ def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):
     # fails a traced run on a name it cannot find; this catches a rename here
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
-    import hadamard6.cli  # noqa: F401  (loads every module the tracer resolves)
+    import hadamard6.cli  # noqa: F401  (registers every module the tracer resolves)
     import tracer
 
     for _, module, attr, _, _ in tracer.TRACED:
@@ -267,6 +267,65 @@ def test_theorem_suite_never_runs_the_orbit_search():
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0"
+
+
+_SUBMODULES = {p.stem for p in Path(hadamard6.__file__).parent.glob("*.py")} - {"__init__"}
+# elements.py and what it imports
+_ELEMENTS = {"elements", "groups", "monomial", "matrices", "eisenstein", "perms"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ([], {"cli"}),
+    (["verify", "--only", "codes"], {"cli", "gf4", "matrices", "eisenstein", "report"}),
+    # neither autgroup, brep nor gf4
+    (["verify", "--only", "outer"], {"cli", "outer", "report"} | _ELEMENTS),
+    # neither autgroup, outer nor gf4
+    (["verify", "--only", "theorem"], {"cli", "brep", "report"} | _ELEMENTS),
+    (["verify"], _SUBMODULES),
+], ids=["import", "codes", "outer", "theorem", "all"])
+def test_each_command_runs_only_the_modules_it_reaches(argv, modules):
+    # a fresh process, since this one has run every module; a registered
+    # module that has not run yet is an instance of a subclass of ModuleType
+    code = (
+        "import contextlib, io, json, sys, types\n"
+        "import hadamard6.cli\n"
+        f"argv = {argv!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert hadamard6.cli.main(argv) == 0\n"
+        "print(json.dumps([name.split('.')[1] for name, m in sys.modules.items()\n"
+        "                  if name.startswith('hadamard6.') and type(m) is types.ModuleType]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == modules
+
+
+def test_import_registers_every_module_the_tracer_reads():
+    # perfbench/tracer.py reads sys.modules["hadamard6.<m>"] right after
+    # importing hadamard6.cli, and wraps the functions it finds there
+    code = (
+        "import contextlib, io, json, sys, types\n"
+        "import pytest\n"
+        "import hadamard6.cli\n"
+        f"for name in {sorted(_SUBMODULES - {'cli'})!r}:\n"
+        "    module = sys.modules[f'hadamard6.{name}']\n"
+        "    assert getattr(hadamard6, name) is module, name\n"
+        "    assert type(module) is not types.ModuleType, name\n"
+        "import hadamard6.autgroup\n"
+        "assert callable(hadamard6.autgroup.x_bsgs)\n"
+        "from hadamard6.report import Clause, Report\n"
+        "stub = Report('codes', [Clause('stub', 'stubbed suite', '1', '1', True)])\n"
+        "assert type(sys.modules['hadamard6.gf4']) is not types.ModuleType\n"
+        "out = io.StringIO()\n"
+        "with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):\n"
+        "    mp.setattr(hadamard6.gf4, 'verify_codes', lambda: stub)\n"
+        "    assert hadamard6.cli.main(['verify', '--only', 'codes', '--json']) == 0\n"
+        "assert json.loads(out.getvalue())['suites'] == [stub.to_dict()]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_loads_no_rational_arithmetic():
