@@ -44,11 +44,7 @@ ALLOWED = {
     # perfbench/tracer.py wraps these by name; they go when it stops
     "groups.center_of",
     "monomial.MonomialMatrix.__mul__",
-    # references that tests and the demos compare against; both monomial
-    # kinds share to_matrix, which verify reaches through a B-monomial one
-    "matrices.ExactMatrix.entry",
-    "matrices.ExactMatrix.dagger",
-    "matrices.ExactMatrix.scaled",
+    # number-type operations that only the tests' dense references use
     "eisenstein.EisensteinRational.__sub__",
     "eisenstein.EisensteinRational.__neg__",
     "eisenstein.EisensteinRational.__rsub__",

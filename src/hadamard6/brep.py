@@ -9,8 +9,8 @@ the complex subfield, the intertwining relation
 
 reads  H * rep.B * dagger(H) = 6 * rep.A  denominator-free over the exact
 split quaternions.  It is checked as  H * rep.B = rep.A * H, the same
-identity since H dagger(H) = dagger(H) H = 6I (prop1's h6_hadamard): each
-side is a column or row move of H, so no number is inverted anywhere.
+identity since H dagger(H) = dagger(H) H = 6I (prop1's h6_hadamard), on two
+6x6 tables of units (verify_intertwining): no matrix over the algebra is formed.
 
 brep_homomorphism is proved on all of X by a row law: E(f(g)) = phi g phi,
 with f = _b_rep_formula, E = b_pair_perm36 (injective and multiplicative)
@@ -27,6 +27,7 @@ So the law holds on X once it holds for each (d, eps) in Z3 x Z2, checked
 on the six elements (dI, dI, eps), and for one K != 1, checked on tau1.
 Conjugation by the involution phi is multiplicative, so f(g h) and
 f(g) f(h) have one image under E and are equal: f is a homomorphism on X.
+E and the unit tables rest on the unit law, so the clause conjoins its check.
 intertwining follows by generator induction: if H B'(g) = A'(g) H and
 H B'(h) = A'(h) H, then H B'(gh) = A'(g) H B'(h) = A'(gh) H, since B' and A'
 are both multiplicative; so checking the generators proves every element.
@@ -35,13 +36,12 @@ are both multiplicative; so checking the generators proves every element.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
 
 from .eisenstein import SQ_ONE, SplitQuaternion
-from .elements import XElement, compute_aut_linear, stabilizer_span, star, tau1, tau2, tau2prime
+from .elements import XElement, compute_aut_linear, stabilizer_span, tau1, tau2prime, tau2star
 from .groups import _point_act, _schreier_search
-from .matrices import ExactMatrix, h6
-from .monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
+from .matrices import H6_PHASES
+from .monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36, unit_product
 from .perms import Permutation
 from .report import Clause, Report, check
 
@@ -79,17 +79,37 @@ def _encodes_phi_conjugate(g: XElement) -> bool:
     return b_pair_perm36(rep.a, rep.b) == _PHI * g.perm * _PHI
 
 
-@cache
-def _h6_split() -> ExactMatrix:
-    return h6().to_split_quaternion()
+_UNITS = tuple((x, y) for x in range(3) for y in range(2))  # w^x B^y as (x, y)
+
+
+def _unit_law_holds() -> bool:
+    """unit_product is the algebra's product on the six units, and the six
+    are distinct, so a unit is its phase: 36 products of SplitQuaternions."""
+    q = {u: SplitQuaternion.unit(*u) for u in _UNITS}
+    return len(set(q.values())) == 6 and all(
+        q[u] * q[v] == q[unit_product(u, v)] for u in _UNITS for v in _UNITS)
+
+
+def intertwining_tables(rep: BRepElement) -> tuple:
+    """H * B' and A' * H as 6x6 tables of unit phases (x, y), for w^x B^y.
+    Column i^K of H * B' is column i of H times B's unit i on the right;
+    row i of A' * H is A's unit i times row i^K of H on the left."""
+    a, b = rep
+    source = sorted(range(6), key=b.perm.images.__getitem__)
+    lhs = tuple(tuple(unit_product((row[i], 0), b.phases[i]) for i in source) for row in H6_PHASES)
+    rhs = tuple(tuple(unit_product(u, (x, 0)) for x in H6_PHASES[j]) for u, j in zip(a.phases, a.perm.images))
+    return lhs, rhs
 
 
 def verify_intertwining(g: XElement) -> bool:
     """H * B' == A' * H over the split quaternions, which is
-    H * B' * dagger(H) == 6 * A' since H dagger(H) = dagger(H) H = 6I."""
-    rep = b_rep(g)
-    H = _h6_split()
-    return H @ rep.b == rep.a @ H
+    H * B' * dagger(H) == 6 * A' since H dagger(H) = dagger(H) H = 6I.
+    H's entries are cube roots and B', A' are monomial, so each entry of
+    either side is one product of two units, with no sum.  unit_product gives
+    its phase once the unit law holds, and distinct phases are distinct units
+    (both checked by _unit_law_holds): equal tables mean equal matrices."""
+    lhs, rhs = intertwining_tables(b_rep(g))
+    return lhs == rhs
 
 
 def commutant_dimension() -> int:
@@ -116,13 +136,13 @@ def _commutant_dimension(components) -> int:
 
 def verify_theorem() -> Report:
     clauses: list[Clause] = []
-    t2s = tau2() * star()
+    t2s = tau2star()
     gens = (tau1(), t2s)
 
     # the row law's six (d, eps) cases, and both generators (tau1 has K != 1)
     diagonals = [XElement(MonomialMatrix.diagonal((d,) * 6), MonomialMatrix.diagonal((d,) * 6), eps)
                  for d in range(3) for eps in range(2)]
-    hom_ok = all(map(_encodes_phi_conjugate, diagonals + list(gens)))
+    hom_ok = _unit_law_holds() and all(map(_encodes_phi_conjugate, diagonals + list(gens)))
     clauses.append(check("brep_homomorphism",
                          "representation is multiplicative on all 2160 elements of <tau1, tau2 *>",
                          True, hom_ok))
@@ -134,8 +154,9 @@ def verify_theorem() -> Report:
                          "H B' dagger(H) = 6 A' on all 2160 elements of <tau1, tau2 *>",
                          True, hom_ok and all(verify_intertwining(g) for g in gens)))
 
+    # on the encoding, which is faithful and multiplicative by the unit law
     rhs = b_rep(t2s).a
-    involution = rhs @ rhs.to_matrix() == ExactMatrix.identity(6, SplitQuaternion)
+    involution = (b_pair_perm36(rhs, rhs) ** 2).is_identity()
     clauses.append(check("rhs_involution", "the conjugated matrix squares to the identity",
                          True, involution))
 

@@ -158,6 +158,12 @@ def star() -> XElement:
 
 
 @cache
+def tau2star() -> XElement:
+    """tau2 *, which generates the stabilizer of h6() with tau1."""
+    return tau2() * star()
+
+
+@cache
 def tau2prime() -> XElement:
     literal = XElement(
         MonomialMatrix((0,) * 6, Permutation.parse("(1,2)", 6)),
@@ -191,14 +197,14 @@ class Subgroup:
 @cache
 def stabilizer_span() -> BSGS:
     """Chain of <tau1, tau2 *>; prop2 proves it is the stabilizer of h6()."""
-    return bsgs_build([tau1().to_perm36(), (tau2() * star()).to_perm36()])
+    return bsgs_build([tau1().to_perm36(), tau2star().to_perm36()])
 
 
 @cache
 def compute_aut_linear() -> Subgroup:
     """The eps = 0 subgroup of <tau1, tau2 *>, the stabilizer of h6() by prop2:
     Schreier generators of the conjugation flag's 2-state orbit."""
-    flag = orbit_stabilizer((tau1().perm, (tau2() * star()).perm),
+    flag = orbit_stabilizer((tau1().perm, tau2star().perm),
                             lambda f, g: (f + XElement._raw(g).eps) % 2, 0)
     gens = flag.stabilizer_generators
     return Subgroup(tuple(map(XElement._raw, gens)), bsgs_build(gens))

@@ -1,4 +1,5 @@
-"""Dense matrices over an exact ring (Z[w] or the split quaternions over it).
+"""Dense matrices over Z[w] (or over the split quaternions, which only the
+tests' dense references use), h6() and the exponent-row orthogonality test.
 
 Matrices are immutable, row-major, and hashable through their canonical
 entry forms; equality is entrywise exact.  Indices are 0-based in code and
@@ -33,14 +34,6 @@ class ExactMatrix:
         self.entries = entries
         self.ring = ring
 
-    @classmethod
-    def identity(cls, n: int, ring=EisensteinRational) -> "ExactMatrix":
-        one, zero = ring(1), ring(0)
-        return cls(n, n, (one if i == j else zero for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -65,27 +58,6 @@ class ExactMatrix:
                 out.append(acc)
         return ExactMatrix(n, m, out)
 
-    def dagger(self) -> "ExactMatrix":
-        """Conjugate transpose; defined over Q(w) only."""
-        if self.ring is not EisensteinRational:
-            raise ValueError("dagger is not defined for split-quaternion matrices")
-        e = self.entries
-        out = tuple(e[i * self.cols + j].conj() for j in range(self.cols) for i in range(self.rows))
-        return ExactMatrix(self.cols, self.rows, out)
-
-    def scaled(self, c: int) -> "ExactMatrix":
-        """Scale by an integer, which is central in both rings."""
-        if not isinstance(c, int):
-            raise TypeError("scale factor must be int")
-        s = EisensteinRational(c)
-        return ExactMatrix(self.rows, self.cols, (e * s for e in self.entries))
-
-    def to_split_quaternion(self) -> "ExactMatrix":
-        if self.ring is SplitQuaternion:
-            raise ValueError("matrix already has split-quaternion entries")
-        out = tuple(SplitQuaternion(e) for e in self.entries)
-        return ExactMatrix(self.rows, self.cols, out)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -103,7 +75,8 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}, {self.cols}, <{self.ring.__name__} entries>)"
 
     def __str__(self):
-        return "\n".join(" ".join(str(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows))
+        c, e = self.cols, self.entries
+        return "\n".join(" ".join(map(str, e[k:k + c])) for k in range(0, len(e), c))
 
 
 # The distinguished 6x6 matrix: symmetric, first row and column all ones,

@@ -12,10 +12,10 @@ and the permutation parts multiply exactly like the matrices do.  B-valued
 matrices have no product of their own: the unit law in MonomialBMatrix's
 docstring encodes a pair of them as a 36-point permutation (b_pair_perm36),
 and products are taken there.  The two kinds share one body: validation,
-equality, hashing, text, to_matrix, and the product with a dense ExactMatrix
-over the kind's ring, on either side, by moving and scaling its rows or
-columns.  A kind sets only its ring, the unit and the name of each phase, and
-how its phases reduce.
+equality, hashing and text.  A kind sets only the name of each phase and how
+its phases reduce.  A plain monomial matrix also multiplies a dense
+ExactMatrix over Z[w], on either side, by moving and scaling its rows or
+columns.
 Text is output only, with no parser back: "[e1,...,en]" followed by the
 cycles of K ("[1,w,w2,1,1,1](1,2)"); the B-form entries append a B suffix,
 so the unit w^a * B prints as "wB", "w2B" or "B".
@@ -23,7 +23,7 @@ so the unit w^a * B prints as "wB", "w2B" or "B".
 
 from __future__ import annotations
 
-from .eisenstein import OMEGA_POWERS, EisensteinRational, SplitQuaternion
+from .eisenstein import OMEGA_POWERS, EisensteinRational
 from .matrices import ExactMatrix
 from .perms import Permutation
 
@@ -37,37 +37,12 @@ _B_PAIR_TABLES = tuple(
     for base in (0, 18))
 
 
-def _row_move(self, m):
-    """(D K) M: row i is unit i times row i^K of M."""
-    if not isinstance(m, ExactMatrix):
-        return NotImplemented
-    if m.rows != self.degree or m.ring is not self._ring:
-        raise ValueError("dimension or ring mismatch")
-    c, e = m.cols, m.entries
-    out = tuple(u * x for u, j in zip(self._units(), self.perm.images) for x in e[j * c:(j + 1) * c])
-    return ExactMatrix(m.rows, c, out)
-
-
-def _col_move(self, m):
-    """M (D K): column i^K is column i of M times unit i."""
-    if not isinstance(m, ExactMatrix):
-        return NotImplemented
-    if m.cols != self.degree or m.ring is not self._ring:
-        raise ValueError("dimension or ring mismatch")
-    n, e, units = m.cols, m.entries, self._units()
-    source = sorted(range(n), key=self.perm.images.__getitem__)
-    out = tuple(e[k + i] * units[i] for k in range(0, m.rows * n, n) for i in source)
-    return ExactMatrix(m.rows, n, out)
-
-
 class _Monomial:
-    """D*K with D = diag(_unit(phase) for each phase) and K the permutation
-    matrix of perm.  A kind sets _ring, _unit and _names, and reduces its
-    phases before they reach this __init__."""
+    """D*K with D the diagonal of the units named by the phases and K the
+    permutation matrix of perm.  A kind sets _names, and reduces its phases
+    before they reach this __init__."""
 
     __slots__ = ("phases", "perm")
-    __matmul__ = _row_move
-    __rmatmul__ = _col_move
 
     def __init__(self, phases: tuple, perm: Permutation):
         if len(phases) != perm.degree:
@@ -78,16 +53,6 @@ class _Monomial:
     @property
     def degree(self) -> int:
         return len(self.phases)
-
-    def _units(self) -> list:
-        return list(map(self._unit, self.phases))
-
-    def to_matrix(self) -> ExactMatrix:
-        n = self.degree
-        entries = [self._ring()] * (n * n)
-        for i, (u, j) in enumerate(zip(self._units(), self.perm.images)):
-            entries[i * n + j] = u
-        return ExactMatrix(n, n, entries)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -109,12 +74,32 @@ class MonomialMatrix(_Monomial):
     """D*K with D = diag(w^phases) and K the permutation matrix of perm."""
 
     __slots__ = ()
-    _ring = EisensteinRational
-    _unit = OMEGA_POWERS.__getitem__
     _names = ("1", "w", "w2")
 
     def __init__(self, phases, perm: Permutation):
         super().__init__(tuple(p % 3 for p in phases), perm)
+
+    def __matmul__(self, m):
+        """(D K) M: row i is w^d_i times row i^K of M."""
+        if not isinstance(m, ExactMatrix):
+            return NotImplemented
+        if m.rows != self.degree or m.ring is not EisensteinRational:
+            raise ValueError("dimension or ring mismatch")
+        c, e = m.cols, m.entries
+        out = tuple(OMEGA_POWERS[d] * x for d, j in zip(self.phases, self.perm.images)
+                    for x in e[j * c:(j + 1) * c])
+        return ExactMatrix(m.rows, c, out)
+
+    def __rmatmul__(self, m):
+        """M (D K): column i^K is column i of M times w^d_i."""
+        if not isinstance(m, ExactMatrix):
+            return NotImplemented
+        if m.cols != self.degree or m.ring is not EisensteinRational:
+            raise ValueError("dimension or ring mismatch")
+        n, e, d = m.cols, m.entries, self.phases
+        source = sorted(range(n), key=self.perm.images.__getitem__)
+        out = tuple(e[k + i] * OMEGA_POWERS[d[i]] for k in range(0, m.rows * n, n) for i in source)
+        return ExactMatrix(m.rows, n, out)
 
     @classmethod
     def diagonal(cls, phases) -> "MonomialMatrix":
@@ -149,14 +134,14 @@ class MonomialBMatrix(_Monomial):
 
         (c, r)  ->  ((-1)^b_r * (c + a_r),  r^K)
 
-    and b_pair_perm36 stacks two of them on 36 points.  The unit law defines
-    that encoding, not a product: a product of B-monomial matrices is taken on
-    the encoding, which the tests pin against to_matrix products.
+    and b_pair_perm36 stacks two of them on 36 points.  The unit law
+    (unit_product) defines that encoding, not a product: a product of
+    B-monomial matrices is taken on the encoding, which the tests pin against
+    dense split-quaternion products.  The theorem suite checks the law against
+    the algebra on all 36 products of the six units.
     """
 
     __slots__ = ()
-    _ring = SplitQuaternion
-    _unit = staticmethod(lambda phase: SplitQuaternion.unit(*phase))
     _names = {(0, 0): "1", (1, 0): "w", (2, 0): "w2", (0, 1): "B", (1, 1): "wB", (2, 1): "w2B"}
 
     def __init__(self, phases, perm: Permutation):
@@ -167,6 +152,12 @@ class MonomialBMatrix(_Monomial):
         """m itself, or m * (B I); K commutes with the scalar B."""
         b = 1 if with_beta else 0
         return cls([(a, b) for a in m.phases], m.perm)
+
+
+def unit_product(u: tuple, v: tuple) -> tuple:
+    """The unit law on phases: w^a B^b * w^c B^d = w^(a + (-1)^b c) B^(b+d)."""
+    (a, b), (c, d) = u, v
+    return (a + (-1) ** b * c) % 3, (b + d) % 2
 
 
 def b_pair_perm36(a: MonomialBMatrix, b: MonomialBMatrix) -> Permutation:

@@ -1,12 +1,12 @@
 """An explicit outer automorphism of the symmetric group on six points, built
-from the two projections of the permutation-pair subgroup, plus the classical
+from the two projections of the stabilizer of h6(), plus the classical
 synthemes-and-totals construction as an independent oracle.
 
 Both automorphisms are 720-entry tables completed by hom_closure from two
-generator images: sigma sends the first projection of each element of
-Y = <tau1, tau2'> to its second, so its images are read off tau1 and tau2';
-the totals action is read off the action of (1,2) and (2,3,4,5,6) on the six
-totals.  That closure is the only enumeration of S6 here, and a table keeps
+generator images: sigma sends the first projection of each element of the
+stabilizer <tau1, tau2 *> to its second, so its images are read off tau1 and
+tau2 *; the totals action is read off the action of (1,2) and (2,3,4,5,6) on
+the six totals.  That closure is the only enumeration of S6 here, and a table keeps
 the closure's image bytes, element to image: only apply and to_json wrap an
 entry as a Permutation, one at a time.  Bijectivity is checked over every
 entry; multiplicativity is proved by generator induction: the table must
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .elements import tau1, tau2prime
+from .elements import tau1, tau2star
 from .groups import InconsistentImagesError, hom_closure
 from .perms import _IDENT, Permutation
 from .report import Report, check
@@ -79,9 +79,10 @@ def _closure_table(pairs) -> AutoTable:
 
 @cache
 def build_outer() -> AutoTable:
-    """sigma: the first projection of each element of Y to its second, from
-    the two projections of Y's generators and completed by closure."""
-    return _closure_table([(g.p.perm, g.q.perm) for g in (tau1(), tau2prime())])
+    """sigma: the first projection of each element of the stabilizer of h6()
+    to its second, from the projections of its generators tau1 and tau2 *
+    and completed by closure, which rejects images that define no map."""
+    return _closure_table([(g.p.perm, g.q.perm) for g in (tau1(), tau2star())])
 
 
 _STARS = tuple(Permutation.parse(f"(1,{k})", 6).images for k in range(2, 7))

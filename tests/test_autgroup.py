@@ -35,6 +35,8 @@ from hadamard6.matrices import ExactMatrix, H6_PHASES, h6
 from hadamard6.monomial import MonomialMatrix
 from hadamard6.perms import Permutation
 
+from conftest import entry, identity, to_matrix, to_split_quaternion
+
 
 def random_word(rng, length=None):
     gens = [tau1(), tau2(), star()]
@@ -65,7 +67,7 @@ def test_act_matches_generic_matrix_computation():
     H = h6()
     for _ in range(60):
         g = random_word(rng)
-        expected = g.p.inverse().to_matrix() @ H @ g.q.to_matrix()
+        expected = to_matrix(g.p.inverse()) @ H @ to_matrix(g.q)
         if g.eps:
             expected = conj_entries_matrix(expected)
         assert g.act(H) == expected
@@ -77,7 +79,7 @@ def test_act_general_path_on_non_unit_entries():
     rng = random.Random(102)
     for _ in range(30):
         g = random_word(rng)
-        expected = g.p.inverse().to_matrix() @ H @ g.q.to_matrix()
+        expected = to_matrix(g.p.inverse()) @ H @ to_matrix(g.q)
         if g.eps:
             expected = conj_entries_matrix(expected)
         assert g.act(H) == expected
@@ -553,9 +555,9 @@ def test_untranslate_accepts_exactly_the_zero_sum_translations():
 
 def test_act_error_cases():
     with pytest.raises(ValueError):
-        tau1().act(h6().to_split_quaternion())
+        tau1().act(to_split_quaternion(h6()))
     with pytest.raises(ValueError):
-        tau1().act(ExactMatrix.identity(5))
+        tau1().act(identity(5))
 
 
 def test_stabilizer_membership_examples():
@@ -578,7 +580,7 @@ def test_intertwining_over_the_complex_subfield():
     H = h6()
     for g in compute_aut_linear().generators:
         assert g.eps == 0
-        assert H @ g.q.to_matrix() == g.p.to_matrix() @ H
+        assert H @ to_matrix(g.q) == to_matrix(g.p) @ H
 
 
 def _sign(p: Permutation) -> int:
@@ -591,7 +593,7 @@ def _leibniz_det(m: ExactMatrix):
     for sigma in permutations(range(6)):
         term = E_ONE
         for i, j in enumerate(sigma):
-            term = term * m.entry(i, j)
+            term = term * entry(m, i, j)
         total = total + term * _sign(Permutation(sigma))
     return total
 
@@ -609,7 +611,7 @@ def test_component_determinants_are_signs():
         rng.shuffle(images)
         components.append(MonomialMatrix([rng.randrange(3) for _ in range(6)], Permutation(tuple(images))))
     for m in components:
-        det = _leibniz_det(m.to_matrix())
+        det = _leibniz_det(to_matrix(m))
         assert det == OMEGA_POWERS[sum(m.phases) % 3] * _sign(m.perm)
         assert (det in (E_ONE, -E_ONE)) == (sum(m.phases) % 3 == 0)
 

@@ -18,14 +18,17 @@ from hadamard6.brep import (
     _commutant_dimension,
     b_rep,
     commutant_dimension,
+    intertwining_tables,
     verify_intertwining,
     verify_theorem,
 )
 from hadamard6.eisenstein import EisensteinRational, SplitQuaternion
 from hadamard6.groups import BSGS
 from hadamard6.matrices import ExactMatrix, h6
-from hadamard6.monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36
+from hadamard6.monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36, unit_product
 from hadamard6.perms import Permutation
+
+from conftest import dagger, identity, scaled, to_matrix, to_split_quaternion
 
 # (a, r) -> (-a, r) on both halves of the 36 points
 PHI = Permutation([base + 6 * ((3 - a) % 3) + r for base in (0, 18) for a in range(3) for r in range(6)])
@@ -80,8 +83,8 @@ def test_b_rep_is_multiplicative():
     for _ in range(50):
         g, h = stabilizer_word(rng, 6), stabilizer_word(rng, 6)
         rg, rh, rgh = b_rep(g), b_rep(h), b_rep(g * h)
-        assert rgh.a.to_matrix() == rg.a.to_matrix() @ rh.a.to_matrix()
-        assert rgh.b.to_matrix() == rg.b.to_matrix() @ rh.b.to_matrix()
+        assert to_matrix(rgh.a) == to_matrix(rg.a) @ to_matrix(rh.a)
+        assert to_matrix(rgh.b) == to_matrix(rg.b) @ to_matrix(rh.b)
 
 
 def test_encoding_of_the_formula_is_phi_conjugation_on_all_of_x():
@@ -141,13 +144,13 @@ def test_intertwining_for_generators():
     assert verify_intertwining(XElement._raw(Permutation.identity(36)))
 
 
-def dense_intertwining(g):
+def dense_intertwining(g, rep=None):
     # the reference for verify_intertwining's H B' = A' H: the clause's
     # H B' dagger(H) = 6 A' by dense products
-    rep = b_rep(g)
-    H = h6().to_split_quaternion()
-    Hd = h6().dagger().to_split_quaternion()
-    return H @ rep.b.to_matrix() @ Hd == rep.a.to_matrix().scaled(6)
+    rep = rep or b_rep(g)
+    H = to_split_quaternion(h6())
+    Hd = to_split_quaternion(dagger(h6()))
+    return H @ to_matrix(rep.b) @ Hd == scaled(to_matrix(rep.a), 6)
 
 
 def test_intertwining_equation_explicitly():
@@ -172,8 +175,99 @@ def test_intertwining_and_its_dense_reference_fail_on_a_shifted_unit(monkeypatch
 
 
 def test_rhs_is_an_involution():
-    rhs = b_rep(tau2() * star()).a.to_matrix()
-    assert rhs @ rhs == ExactMatrix.identity(6, SplitQuaternion)
+    rhs = to_matrix(b_rep(tau2() * star()).a)
+    assert rhs @ rhs == identity(6, SplitQuaternion)
+
+
+UNITS = [(x, y) for x in range(3) for y in range(2)]
+
+
+def test_unit_law_is_the_algebra_product_on_the_six_units():
+    q = {u: SplitQuaternion.unit(*u) for u in UNITS}
+    assert len(set(q.values())) == 6
+    for u in UNITS:
+        for v in UNITS:
+            assert q[u] * q[v] == q[unit_product(u, v)]
+
+
+def test_unit_law_gives_the_b_pair_tables():
+    # the 18-point phase (-1)^y (c + x) of (c, r) under w^x B^y is the law's
+    # w^c * w^x B^y, rewritten as B^y * w^c'
+    for half, base in zip(monomial._B_PAIR_TABLES, (0, 18)):
+        for c, table in enumerate(half):
+            for x, y in UNITS:
+                c_new = (table[12 * x + 6 * y] - base) // 6
+                assert unit_product((c, 0), (x, y)) == unit_product((0, y), (c_new, 0))
+
+
+def dense_tables(rep):
+    # H B' and A' H by dense split-quaternion products, each entry read back
+    # as its unit phase
+    H = to_split_quaternion(h6())
+    name = {SplitQuaternion.unit(*u): u for u in UNITS}
+    return tuple(tuple(tuple(name[e] for e in m.entries[6 * i:6 * i + 6]) for i in range(6))
+                 for m in (H @ to_matrix(rep.b), to_matrix(rep.a) @ H))
+
+
+@pytest.mark.parametrize("element", [tau1, lambda: tau2() * star(), tau2prime],
+                         ids=["tau1", "tau2*", "tau2'"])
+def test_intertwining_tables_are_the_dense_products(element):
+    rep = brep._b_rep_formula(element())
+    assert intertwining_tables(rep) == dense_tables(rep)
+
+
+def test_unit_tables_agree_with_the_dense_identity_on_random_words():
+    # members of the stabilizer (words over tau1 and tau2 *) and mostly
+    # non-members (words over X's generators), through b_rep's formula: the
+    # tables agree exactly when the dense identity holds, and both hold
+    # exactly on the stabilizer
+    rng = random.Random(203)
+    seen = set()
+    for letters in ([tau1(), tau2() * star()], list(x_generators())):
+        for _ in range(150):
+            g = XElement._raw(Permutation.identity(36))
+            for _ in range(rng.randrange(1, 16)):
+                g = g * rng.choice(letters)
+            rep = brep._b_rep_formula(g)
+            lhs, rhs = intertwining_tables(rep)
+            dense = dense_intertwining(g, rep)
+            assert (lhs == rhs) == dense == stabilizer_span().contains(g.perm)
+            seen.add(dense)
+    assert seen == {True, False}
+
+
+def test_intertwining_fails_alone_on_a_shifted_unit_of_tau1(monkeypatch):
+    # b_rep feeds only intertwining's tables; the row law reads the formula
+    t1, rep = tau1(), b_rep
+    monkeypatch.setattr(brep, "b_rep", lambda g: _shift_first_unit(rep(g)) if g == t1 else rep(g))
+    assert {c.id for c in verify_theorem().clauses if not c.passed} == {"intertwining"}
+
+
+def test_a_sign_flip_in_the_unit_law_fails_the_homomorphism_and_intertwining(monkeypatch):
+    def flipped(u, v):
+        (a, b), (c, d) = u, v
+        return (a - (-1) ** b * c) % 3, (b + d) % 2
+
+    monkeypatch.setattr(brep, "unit_product", flipped)
+    assert {c.id for c in verify_theorem().clauses if not c.passed} == {"brep_homomorphism", "intertwining"}
+
+
+def test_theorem_makes_no_dense_matrix_and_few_split_quaternion_products(monkeypatch):
+    # the 36 products of the unit law and beta_unit_squares' three
+    def no_dense(self, *args):
+        raise AssertionError("theorem must not build a dense matrix")
+
+    products = []
+    mul = SplitQuaternion.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", no_dense)
+    monkeypatch.setattr(SplitQuaternion, "__mul__", counting)
+    assert verify_theorem().passed
+    assert len(products) == 39
 
 
 def test_cycle_types_of_the_two_projections():
@@ -187,11 +281,11 @@ def test_commutant_is_one_dimensional():
 
 def _dense_commutant_rows(components):
     # the rows of XA - AX = 0 over Z[w], one per entry of X and dense matrix
-    # A = to_matrix() of a component
+    # A = to_matrix(component)
     n = 6
     rows = []
     for m in components:
-        a = m.to_matrix().entries
+        a = to_matrix(m).entries
         for i in range(n):
             for j in range(n):
                 row = [EisensteinRational(0)] * (n * n)
@@ -338,7 +432,7 @@ def test_intertwining_products_stay_on_integers(element):
     # the identity multiplies only cube roots of unity and small integers, so
     # no component of H * B' * dagger(H) may be a Fraction
     rep = b_rep(element())
-    lhs = h6().to_split_quaternion() @ rep.b.to_matrix() @ h6().dagger().to_split_quaternion()
+    lhs = to_split_quaternion(h6()) @ to_matrix(rep.b) @ to_split_quaternion(dagger(h6()))
     for q in lhs.entries:
         for c in (q.z.a, q.z.b, q.v.a, q.v.b):
             assert type(c) is int

@@ -3,8 +3,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from hadamard6 import outer
+from hadamard6 import elements, outer
 from hadamard6.autgroup import XElement, tau1, tau2prime
+from hadamard6.elements import tau2star
 from hadamard6.groups import closure
 from hadamard6.outer import (
     AutoTable,
@@ -248,7 +249,7 @@ def test_verify_outer_makes_no_permutation_product_or_inverse(monkeypatch):
         counts["inverse"] += 1
         return inverse(a)
 
-    tau1(), tau2prime()
+    tau1(), tau2star()
     # the uncached builders, so the tables are built under the counters
     monkeypatch.setattr(outer, "build_outer", build_outer.__wrapped__)
     monkeypatch.setattr(outer, "totals_outer", totals_outer.__wrapped__)
@@ -256,6 +257,19 @@ def test_verify_outer_makes_no_permutation_product_or_inverse(monkeypatch):
     monkeypatch.setattr(Permutation, "inverse", counted_inverse)
     assert outer.verify_outer().passed
     assert counts == {"mul": 0, "inverse": 0}
+
+
+def test_sigma_is_read_off_the_stabilizer_without_tau2prime(monkeypatch):
+    # tau2 * and tau2' have equal projections, so the table is unchanged;
+    # only the generators of the stabilizer of h6() build it
+    def no_tau2prime():
+        raise AssertionError("sigma must be read off tau1 and tau2 *")
+
+    for module in (elements, outer):
+        monkeypatch.setattr(module, "tau2prime", no_tau2prime, raising=False)
+    assert (tau2star().p.perm, tau2star().q.perm) == (tau2prime().p.perm, tau2prime().q.perm)
+    build_outer.cache_clear()
+    assert outer.verify_outer().passed
 
 
 def test_compare_up_to_inner():
