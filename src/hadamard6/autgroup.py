@@ -27,7 +27,7 @@ from .groups import (
     normal_closure,
     orbit_stabilizer,
 )
-from .matrices import H6_PHASES, h6, orthogonal_exponents
+from .matrices import H6_PHASES, orthogonal_exponents
 from .monomial import MonomialMatrix
 from .perms import Permutation
 from .report import Clause, Report, check
@@ -151,7 +151,7 @@ def _phase_map(images: bytes) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return tuple(source), s, tuple(shift)
 
 
-# the phase state of h6()
+# the phase state of H
 _H6_STATE = tuple(h for row in H6_PHASES for h in row)
 
 
@@ -228,8 +228,8 @@ def compute_aut_star() -> Stabilizer:
     h, so it lies in K, and x is in K.  Hence K = Stab(h).  The orbit of h is
     the union of the cosets in the orbit of h + V, each of |V| = |Z| / 3 =
     3^9 states, and neither factor is taken from |X|.  Each returned
-    generator must fix h6() under the exact matrix action."""
-    H = h6()
+    generator must also fix H6_PHASES under XElement.act, which moves the
+    exponent table by the decoded components and not by _phase_map."""
     if not all(n_subgroup().bsgs.contains(_diag_pair(d, e).perm) for d, e in _ZERO_SUM_BASIS):
         raise AssertionError("N does not contain the zero-sum diagonal pairs")
     gens = [g.to_perm36() for g in x_generators()]
@@ -242,16 +242,16 @@ def compute_aut_star() -> Stabilizer:
     for s in orbit.stabilizer_generators:
         n = _untranslate(_difference(_phase_act(_H6_STATE, s), _H6_STATE))
         if n is None:
-            raise AssertionError("a Schreier generator moves h6() off its coset")
+            raise AssertionError("a Schreier generator moves H off its coset")
         lift = s * n
         if _phase_act(_H6_STATE, lift) != _H6_STATE:
-            raise AssertionError("a lifted Schreier generator does not fix h6()")
+            raise AssertionError("a lifted Schreier generator does not fix H")
         if not lift.is_identity():
             kept.append(lift)
     kept.append(omega_pair().perm)
     generators = tuple(map(XElement._raw, kept))
-    if any(g.act(H) != H for g in generators):
-        raise AssertionError("a stabilizer generator does not fix h6()")
+    if any(g.act(H6_PHASES) != H6_PHASES for g in generators):
+        raise AssertionError("a stabilizer generator does not fix H")
     return Stabilizer(generators, bsgs_build(kept), orbit.orbit_size * 3**9)
 
 

@@ -1,10 +1,13 @@
 """The elements of the group X generated by two monomial pairs and
-entrywise conjugation, acting on 6x6 matrices over Q(w): the element type
-with its faithful 36-point permutation image and the 18-point row action,
-the named generators, and the two subgroups the theorem suite reads.
+entrywise conjugation, acting on 6x6 matrices of cube roots of unity: the
+element type with its faithful 36-point permutation image and the 18-point
+row action, the named generators, and the two subgroups the theorem suite
+reads.
 
 Element (P, Q, eps) acts by H -> (P^-1 H Q), entrywise conjugated iff eps = 1.
-The composition law making that a right action is
+A matrix of cube roots is its exponent table, entry (i, j) of H being
+w^H[i][j], and act moves that table.  The composition law making the action
+a right action is
 
     (P1, Q1, e1) * (P2, Q2, e2) = (P1 * conj^e1(P2), Q1 * conj^e1(Q2), e1 + e2)
 
@@ -27,7 +30,6 @@ from __future__ import annotations
 from functools import cache
 
 from .groups import BSGS, bsgs_build, commutator, orbit_stabilizer
-from .matrices import ExactMatrix
 from .monomial import MonomialMatrix
 from .perms import Permutation
 
@@ -90,13 +92,16 @@ class XElement:
     def is_identity(self) -> bool:
         return self.perm.is_identity()
 
-    def act(self, H: ExactMatrix) -> ExactMatrix:
-        """(P^-1 H Q), conjugated entrywise iff eps = 1, by a row move and a
-        column move; ValueError unless H is 6x6 over Q(w)."""
-        m = self.p.inverse() @ H @ self.q
-        if not self.eps:
-            return m
-        return ExactMatrix(6, 6, (x.conj() for x in m.entries))
+    def act(self, table: tuple) -> tuple:
+        """The exponent table of (P^-1 H Q), conjugated entrywise iff eps = 1,
+        from the 6x6 exponent table of H.  With P^-1 = D K, row i of P^-1 H
+        is row i^K of H plus d_i; with Q = E L, column i^L of (P^-1 H) Q is
+        column i of P^-1 H plus e_i; conjugation negates every exponent."""
+        p, q = self.p.inverse(), self.q
+        s = -1 if self.eps else 1
+        source = sorted(range(6), key=q.perm.images.__getitem__)
+        return tuple(tuple(s * (d + table[k][i] + q.phases[i]) % 3 for i in source)
+                     for d, k in zip(p.phases, p.perm.images))
 
     def to_perm36(self) -> Permutation:
         """Faithful image on 18 row states plus 18 column states."""
@@ -159,7 +164,7 @@ def star() -> XElement:
 
 @cache
 def tau2star() -> XElement:
-    """tau2 *, which generates the stabilizer of h6() with tau1."""
+    """tau2 *, which generates the stabilizer of H with tau1."""
     return tau2() * star()
 
 
@@ -196,13 +201,13 @@ class Subgroup:
 
 @cache
 def stabilizer_span() -> BSGS:
-    """Chain of <tau1, tau2 *>; prop2 proves it is the stabilizer of h6()."""
+    """Chain of <tau1, tau2 *>; prop2 proves it is the stabilizer of H."""
     return bsgs_build([tau1().to_perm36(), tau2star().to_perm36()])
 
 
 @cache
 def compute_aut_linear() -> Subgroup:
-    """The eps = 0 subgroup of <tau1, tau2 *>, the stabilizer of h6() by prop2:
+    """The eps = 0 subgroup of <tau1, tau2 *>, the stabilizer of H by prop2:
     Schreier generators of the conjugation flag's 2-state orbit."""
     flag = orbit_stabilizer((tau1().perm, tau2star().perm),
                             lambda f, g: (f + XElement._raw(g).eps) % 2, 0)

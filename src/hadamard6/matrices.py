@@ -1,5 +1,7 @@
-"""Dense matrices over Z[w] (or over the split quaternions, which only the
-tests' dense references use), h6() and the exponent-row orthogonality test.
+"""The distinguished matrix H as its exponent table H6_PHASES, the
+exponent-row orthogonality test, and dense matrices over Z[w] or over the
+split quaternions.  No command builds a dense matrix: ExactMatrix is the
+tests' dense reference, and the benchmark tracer times its product by name.
 
 Matrices are immutable, row-major, and hashable through their canonical
 entry forms; equality is entrywise exact.  Indices are 0-based in code and
@@ -8,9 +10,7 @@ entry forms; equality is entrywise exact.  Indices are 0-based in code and
 
 from __future__ import annotations
 
-from functools import cache
-
-from .eisenstein import OMEGA_POWERS, EisensteinRational, SplitQuaternion
+from .eisenstein import EisensteinRational, SplitQuaternion
 
 _RINGS = (EisensteinRational, SplitQuaternion)
 
@@ -79,8 +79,9 @@ class ExactMatrix:
         return "\n".join(" ".join(map(str, e[k:k + c])) for k in range(0, len(e), c))
 
 
-# The distinguished 6x6 matrix: symmetric, first row and column all ones,
-# trailing 5x5 block circulant with first row (1, w, w2, w2, w).
+# The distinguished 6x6 matrix H as its exponent table: entry (i, j) of H is
+# w^H6_PHASES[i][j].  H is symmetric, its first row and column are all ones,
+# and its trailing 5x5 block is circulant with first row (1, w, w2, w2, w).
 H6_PHASES = (
     (0, 0, 0, 0, 0, 0),
     (0, 0, 1, 2, 2, 1),
@@ -99,9 +100,3 @@ def orthogonal_exponents(a, b) -> bool:
     c0 = c1 = c2 (Butson, Proc. AMS 13, 1962)."""
     d = [(x - y) % 3 for x, y in zip(a, b)]
     return d.count(0) == d.count(1) == d.count(2)
-
-
-@cache
-def h6() -> ExactMatrix:
-    entries = tuple(OMEGA_POWERS[k] for row in H6_PHASES for k in row)
-    return ExactMatrix(6, 6, entries)

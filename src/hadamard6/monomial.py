@@ -13,9 +13,8 @@ matrices have no product of their own: the unit law in MonomialBMatrix's
 docstring encodes a pair of them as a 36-point permutation (b_pair_perm36),
 and products are taken there.  The two kinds share one body: validation,
 equality, hashing and text.  A kind sets only the name of each phase and how
-its phases reduce.  A plain monomial matrix also multiplies a dense
-ExactMatrix over Z[w], on either side, by moving and scaling its rows or
-columns.
+its phases reduce.  Neither kind multiplies a dense matrix: XElement.act
+moves an exponent table by the phases and permutations alone.
 Text is output only, with no parser back: "[e1,...,en]" followed by the
 cycles of K ("[1,w,w2,1,1,1](1,2)"); the B-form entries append a B suffix,
 so the unit w^a * B prints as "wB", "w2B" or "B".
@@ -23,8 +22,6 @@ so the unit w^a * B prints as "wB", "w2B" or "B".
 
 from __future__ import annotations
 
-from .eisenstein import OMEGA_POWERS, EisensteinRational
-from .matrices import ExactMatrix
 from .perms import Permutation
 
 # Row r of a B-monomial component, with unit w^x B^y and image s, is coded
@@ -78,28 +75,6 @@ class MonomialMatrix(_Monomial):
 
     def __init__(self, phases, perm: Permutation):
         super().__init__(tuple(p % 3 for p in phases), perm)
-
-    def __matmul__(self, m):
-        """(D K) M: row i is w^d_i times row i^K of M."""
-        if not isinstance(m, ExactMatrix):
-            return NotImplemented
-        if m.rows != self.degree or m.ring is not EisensteinRational:
-            raise ValueError("dimension or ring mismatch")
-        c, e = m.cols, m.entries
-        out = tuple(OMEGA_POWERS[d] * x for d, j in zip(self.phases, self.perm.images)
-                    for x in e[j * c:(j + 1) * c])
-        return ExactMatrix(m.rows, c, out)
-
-    def __rmatmul__(self, m):
-        """M (D K): column i^K is column i of M times w^d_i."""
-        if not isinstance(m, ExactMatrix):
-            return NotImplemented
-        if m.cols != self.degree or m.ring is not EisensteinRational:
-            raise ValueError("dimension or ring mismatch")
-        n, e, d = m.cols, m.entries, self.phases
-        source = sorted(range(n), key=self.perm.images.__getitem__)
-        out = tuple(e[k + i] * OMEGA_POWERS[d[i]] for k in range(0, m.rows * n, n) for i in source)
-        return ExactMatrix(m.rows, n, out)
 
     @classmethod
     def diagonal(cls, phases) -> "MonomialMatrix":

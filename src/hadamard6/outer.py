@@ -1,5 +1,5 @@
 """An explicit outer automorphism of the symmetric group on six points, built
-from the two projections of the stabilizer of h6(), plus the classical
+from the two projections of the stabilizer of H, plus the classical
 synthemes-and-totals construction as an independent oracle.
 
 Both automorphisms are 720-entry tables completed by hom_closure from two
@@ -79,7 +79,7 @@ def _closure_table(pairs) -> AutoTable:
 
 @cache
 def build_outer() -> AutoTable:
-    """sigma: the first projection of each element of the stabilizer of h6()
+    """sigma: the first projection of each element of the stabilizer of H
     to its second, from the projections of its generators tau1 and tau2 *
     and completed by closure, which rejects images that define no map."""
     return _closure_table([(g.p.perm, g.q.perm) for g in (tau1(), tau2star())])

@@ -1,8 +1,10 @@
+from functools import cache
+
 import pytest
 from hypothesis import settings
 
 from hadamard6.eisenstein import OMEGA_POWERS, EisensteinRational, SplitQuaternion
-from hadamard6.matrices import ExactMatrix
+from hadamard6.matrices import H6_PHASES, ExactMatrix
 from hadamard6.monomial import MonomialBMatrix
 
 # deterministic property-test runs; every checked property is a theorem, so
@@ -12,9 +14,20 @@ settings.load_profile("deterministic")
 
 
 # --- dense references --------------------------------------------------------
-# The verifier multiplies no two dense matrices and forms no matrix over the
-# split quaternions; these build the dense values that the tests compare its
-# row moves, column moves and unit tables against.
+# The verifier builds no dense matrix: it moves exponent tables and unit
+# tables.  These build the dense values that the tests compare those moves
+# against.
+
+
+def from_exponents(table) -> ExactMatrix:
+    """The dense matrix of cube roots whose entry (i, j) is w^table[i][j]."""
+    return ExactMatrix(len(table), len(table[0]), (OMEGA_POWERS[k] for row in table for k in row))
+
+
+@cache
+def h6() -> ExactMatrix:
+    """The distinguished matrix H over Z[w]."""
+    return from_exponents(H6_PHASES)
 
 
 def identity(n: int, ring=EisensteinRational) -> ExactMatrix:
@@ -57,6 +70,13 @@ def to_matrix(m) -> ExactMatrix:
     for i, (u, j) in enumerate(zip(units, m.perm.images)):
         entries[i * n + j] = u
     return ExactMatrix(n, n, entries)
+
+
+def dense_act(g, H: ExactMatrix) -> ExactMatrix:
+    """H^g for g = (P, Q, eps) in X: P^-1 H Q by dense products, conjugated
+    entrywise iff eps = 1."""
+    m = to_matrix(g.p.inverse()) @ H @ to_matrix(g.q)
+    return ExactMatrix(m.rows, m.cols, (x.conj() for x in m.entries)) if g.eps else m
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from hadamard6.groups import (
     commutator,
     conjugate,
 )
-from hadamard6.matrices import ExactMatrix, h6
+from hadamard6.matrices import H6_PHASES, ExactMatrix
 from hadamard6.monomial import MonomialMatrix
 from hadamard6.outer import (
     all_synthemes,
@@ -46,7 +46,7 @@ from hadamard6.outer import (
 )
 from hadamard6.perms import Permutation
 
-from conftest import identity, to_matrix
+from conftest import h6, identity, to_matrix
 
 
 def _report(cid: str, ok: bool, detail: str):
@@ -140,7 +140,7 @@ def test_a07_commutator_values():
         0,
     )
     ok = ok and commutator(sylow_x(), sylow_y()) == omega_pair()
-    H = h6()
+    H = H6_PHASES
     ok = ok and sylow_x().act(H) == H and sylow_y().act(H) == H
     _report("A07", ok, "[tau2, *] and [x, y] match the stated values; x, y fix H ([a,b] = a^-1 b^-1 a b)")
 

@@ -31,11 +31,11 @@ from hadamard6.autgroup import (
 )
 from hadamard6.eisenstein import E_ONE, E_ZERO, OMEGA_POWERS, EisensteinRational
 from hadamard6.groups import BSGS, bsgs_build, center_of, closure, commutator, conjugate, orbit_stabilizer
-from hadamard6.matrices import ExactMatrix, H6_PHASES, h6
+from hadamard6.matrices import ExactMatrix, H6_PHASES
 from hadamard6.monomial import MonomialMatrix
 from hadamard6.perms import Permutation
 
-from conftest import entry, identity, to_matrix, to_split_quaternion
+from conftest import dense_act, entry, from_exponents, h6, to_matrix
 
 
 def random_word(rng, length=None):
@@ -46,17 +46,13 @@ def random_word(rng, length=None):
     return g
 
 
-def conj_entries_matrix(m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(m.rows, m.cols, [e.conj() for e in m.entries])
-
-
 # --- composition law and action --------------------------------------------
 
 
 def test_composition_law_matches_the_action():
     # H^(g1 g2) == (H^g1)^g2; this pins the conj^eps twist in the product
     rng = random.Random(100)
-    H = h6()
+    H = H6_PHASES
     for _ in range(150):
         g1, g2 = random_word(rng), random_word(rng)
         assert (g1 * g2).act(H) == g2.act(g1.act(H))
@@ -64,25 +60,56 @@ def test_composition_law_matches_the_action():
 
 def test_act_matches_generic_matrix_computation():
     rng = random.Random(101)
-    H = h6()
     for _ in range(60):
         g = random_word(rng)
-        expected = to_matrix(g.p.inverse()) @ H @ to_matrix(g.q)
-        if g.eps:
-            expected = conj_entries_matrix(expected)
-        assert g.act(H) == expected
+        assert from_exponents(g.act(H6_PHASES)) == dense_act(g, h6())
 
 
-def test_act_general_path_on_non_unit_entries():
-    # a zero entry: the action must not assume every entry is a unit
-    H = ExactMatrix(6, 6, (EisensteinRational(0),) + h6().entries[1:])
-    rng = random.Random(102)
-    for _ in range(30):
-        g = random_word(rng)
-        expected = to_matrix(g.p.inverse()) @ H @ to_matrix(g.q)
-        if g.eps:
-            expected = conj_entries_matrix(expected)
-        assert g.act(H) == expected
+def _flat(table) -> tuple:
+    return tuple(x for row in table for x in row)
+
+
+def test_table_action_agrees_with_the_dense_and_phase_actions():
+    # on random exponent tables t and random words, members of the
+    # stabilizer and not: act is the dense action, it satisfies
+    # t^(g h) = (t^g)^h, and the phase formula moves the flattened table
+    # as act moves the table
+    rng = random.Random(108)
+    aut = compute_aut_star()
+    members = set()
+    for _ in range(300):
+        g, h = random_word(rng), random_word(rng)
+        t = tuple(tuple(rng.randrange(3) for _ in range(6)) for _ in range(6))
+        image = g.act(t)
+        assert from_exponents(image) == dense_act(g, from_exponents(t))
+        assert (g * h).act(t) == h.act(image)
+        assert _phase_act(_flat(t), g.perm) == _flat(image)
+        members.add(aut.bsgs.contains(g.perm))
+    assert members == {True, False}
+
+
+_ACT = XElement.act
+
+
+# each mutant of XElement.act is the true action of another element
+@pytest.mark.parametrize("mutant, caught", [
+    # rows moved by P where P^-1 belongs: tau1 = (K, K, 0) fixes H, so the
+    # mutant sends H to K^2 H, and no generator escapes it
+    (lambda g, t: _ACT(XElement(g.p.inverse(), g.q, g.eps), t), [0, 1, 2, 3]),
+    # eps ignored: only tau2 * conjugates
+    (lambda g, t: _ACT(XElement(g.p, g.q, 0), t), [1]),
+], ids=["p_for_p_inverse", "no_conjugation"])
+def test_the_final_check_of_compute_aut_star_is_live(monkeypatch, mutant, caught):
+    generators = compute_aut_star().generators
+    assert len(generators) == 4 and generators[:2] == (tau1(), tau2() * star())
+    assert [i for i, g in enumerate(generators) if mutant(g, H6_PHASES) != H6_PHASES] == caught
+    monkeypatch.setattr(XElement, "act", mutant)
+    compute_aut_star.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="a stabilizer generator does not fix H"):
+            compute_aut_star()
+    finally:
+        compute_aut_star.cache_clear()
 
 
 def test_inverse_and_identity():
@@ -160,9 +187,9 @@ def test_star_relations():
 
 
 def test_fixed_points_of_the_action():
-    H = h6()
+    H = H6_PHASES
     assert tau1().act(H) == H
-    assert tau2().act(H) == conj_entries_matrix(H)
+    assert tau2().act(H) == tuple(tuple(-x % 3 for x in row) for row in H)
     assert (tau2() * star()).act(H) == H
     assert XElement._raw(Permutation.identity(36)).act(H) == H
     assert sylow_x().act(H) == H
@@ -355,50 +382,44 @@ def test_kernel_of_18_point_action_contains_trivial_first_components():
 
 
 def test_small_orbits_of_h6():
-    # the search runs on 36-point images; the matrix action reads the
-    # element back off each one
+    # the search runs on 36-point images; the table action reads the
+    # element back off each one, and exponent tables are hashable states
     act = lambda H, g: XElement._raw(g).act(H)
-    res1 = orbit_stabilizer([tau1().perm], act, h6())
+    res1 = orbit_stabilizer([tau1().perm], act, H6_PHASES)
     assert res1.orbit_size == 1
     # Lagrange: |orbit| * |stabilizer| = |group|
     stab1 = BSGS(res1.stabilizer_generators, 36)
     group1 = bsgs_build([tau1().to_perm36()])
     assert res1.orbit_size * stab1.order() == group1.order()
 
-    res2 = orbit_stabilizer([star().perm], act, h6())
+    res2 = orbit_stabilizer([star().perm], act, H6_PHASES)
     assert res2.orbit_size == 2
     stab2 = BSGS(res2.stabilizer_generators, 36)
     assert res2.orbit_size * stab2.order() == 2
 
 
-W = EisensteinRational(0, 1)
-PHASES = {E_ONE: 0, W: 1, W * W: 2}
-
-
-def phase_state(H):
-    # the exponent vector: entry k = 6r + j of H is w^h[k]
-    return tuple(PHASES[x] for x in H.entries)
+_H6_STATE = _flat(H6_PHASES)
 
 
 def test_phase_action_matches_the_matrix_action():
     # the action read off the 36-point image agrees with XElement.act along a
-    # random walk, so the states are h6() and the matrices reached from it
+    # random walk, so the states are H and the tables reached from it
     rng = random.Random(102)
-    H = h6()
+    H = H6_PHASES
     flags = set()
     for _ in range(240):
         g = random_word(rng, length=rng.randrange(1, 9))
         image = g.act(H)
-        assert _phase_act(phase_state(H), g.to_perm36()) == phase_state(image)
+        assert _phase_act(_flat(H), g.to_perm36()) == _flat(image)
         flags.add(g.eps)
-        H = image if rng.random() < 0.7 else h6()
+        H = image if rng.random() < 0.7 else H6_PHASES
     assert flags == {0, 1}
 
 
 def test_phase_states_are_exponents_fixed_by_the_identity():
     rng = random.Random(103)
     identity = Permutation.identity(36)
-    state = phase_state(h6())
+    state = _H6_STATE
     for _ in range(100):
         state = _phase_act(state, random_word(rng, length=rng.randrange(1, 9)).to_perm36())
         assert len(state) == 36
@@ -410,14 +431,14 @@ def test_phase_action_composes():
     # acting by g then by h is acting by g * h, on h6() and on states reached
     # by the walk, with words of both conjugation flags
     rng = random.Random(104)
-    state = phase_state(h6())
+    state = _H6_STATE
     flags = set()
     for _ in range(200):
         g, h = (random_word(rng, length=rng.randrange(1, 9)) for _ in range(2))
         both = _phase_act(_phase_act(state, g.to_perm36()), h.to_perm36())
         assert both == _phase_act(state, (g * h).to_perm36())
         flags.update((g.eps, h.eps))
-        state = both if rng.random() < 0.7 else phase_state(h6())
+        state = both if rng.random() < 0.7 else _H6_STATE
     assert flags == {0, 1}
 
 
@@ -444,14 +465,14 @@ def test_phase_action_is_affine_over_gf3():
 @pytest.mark.parametrize("cycles, degree", [("(1,19)", 36), ("(1,7)", 36), ("(1,2)", 36), ("(1,2)", 6)])
 def test_phase_action_rejects_permutations_outside_x(cycles, degree):
     with pytest.raises(ValueError):
-        _phase_act(phase_state(h6()), Permutation.parse(cycles, degree))
+        _phase_act(_H6_STATE, Permutation.parse(cycles, degree))
 
 
 def test_orbit_search_reference_matches_the_coset_route():
     # the reference: enumerate all 39,366 phase states of the orbit of h6()
     # under X and keep every distinct Schreier generator
     gens = [g.to_perm36() for g in (tau1(), tau2(), star())]
-    result = orbit_stabilizer(gens, _phase_act, phase_state(h6()))
+    result = orbit_stabilizer(gens, _phase_act, _H6_STATE)
     assert result.orbit_size == 39_366
     reference = bsgs_build(result.stabilizer_generators)
     aut = compute_aut_star()
@@ -511,7 +532,7 @@ def test_kernel_of_n_on_phase_states_is_generated_by_the_omega_pair():
 
 def test_canon_is_constant_on_each_coset():
     rng = random.Random(105)
-    seed = phase_state(h6())
+    seed = _H6_STATE
     for state in (seed, _phase_act(seed, star().perm), _phase_act(seed, tau2().perm)):
         name = autgroup._coset_name(state)
         # the name lies in the coset it names
@@ -521,7 +542,7 @@ def test_canon_is_constant_on_each_coset():
 
 
 def test_canon_separates_the_two_cosets_of_the_orbit():
-    seed = phase_state(h6())
+    seed = _H6_STATE
     images = [_phase_act(seed, g.perm) for g in (tau1(), tau2(), star())]
     assert len({autgroup._coset_name(s) for s in [seed, *images]}) == 2
     for image in images:
@@ -553,13 +574,6 @@ def test_untranslate_accepts_exactly_the_zero_sum_translations():
         assert autgroup._untranslate(tuple(int(i == k) for i in range(36))) is None
 
 
-def test_act_error_cases():
-    with pytest.raises(ValueError):
-        tau1().act(to_split_quaternion(h6()))
-    with pytest.raises(ValueError):
-        tau1().act(identity(5))
-
-
 def test_stabilizer_membership_examples():
     aut = compute_aut_star()
     assert aut.bsgs.contains(tau1().to_perm36())
@@ -570,9 +584,8 @@ def test_stabilizer_membership_examples():
 
 
 def test_stabilizer_generators_fix_h6():
-    H = h6()
     for g in compute_aut_star().generators:
-        assert g.act(H) == H
+        assert g.act(H6_PHASES) == H6_PHASES
 
 
 def test_intertwining_over_the_complex_subfield():
@@ -678,10 +691,10 @@ def test_s6_presentation_fails_for_tau2_in_place_of_tau2prime(monkeypatch):
 
 
 def test_prop1_and_prop2_make_no_exact_products(monkeypatch):
-    # prop1 reads H's rows and the determinants off exponents, and prop2's
-    # one dense check is compute_aut_star's, which is cached here.  Run cold,
-    # that check and the theorem multiply H only by monomial matrices, as row
-    # and column moves: no product has two ExactMatrix operands
+    # prop1 reads H's rows and the determinants off exponents, and prop2 and
+    # compute_aut_star, run cold too, move H's exponent table: none of them
+    # multiplies in Q(w).  The theorem's unit law does, and no product has two
+    # ExactMatrix operands
     compute_aut_star()
     calls, dense_pairs = [], []
 
@@ -703,8 +716,8 @@ def test_prop1_and_prop2_make_no_exact_products(monkeypatch):
         monkeypatch.setattr(EisensteinRational, name, counting(getattr(EisensteinRational, name)))
     assert verify_prop1().passed
     assert verify_prop2().passed
-    assert calls == [] and dense_pairs == []
     assert compute_aut_star.__wrapped__().order == 2160
+    assert calls == [] and dense_pairs == []
     assert verify_theorem().passed
     assert calls and dense_pairs == []
 

@@ -24,11 +24,11 @@ from hadamard6.brep import (
 )
 from hadamard6.eisenstein import EisensteinRational, SplitQuaternion
 from hadamard6.groups import BSGS
-from hadamard6.matrices import ExactMatrix, h6
+from hadamard6.matrices import ExactMatrix
 from hadamard6.monomial import MonomialBMatrix, MonomialMatrix, b_pair_perm36, unit_product
 from hadamard6.perms import Permutation
 
-from conftest import dagger, identity, scaled, to_matrix, to_split_quaternion
+from conftest import dagger, h6, identity, scaled, to_matrix, to_split_quaternion
 
 # (a, r) -> (-a, r) on both halves of the 36 points
 PHI = Permutation([base + 6 * ((3 - a) % 3) + r for base in (0, 18) for a in range(3) for r in range(6)])

@@ -204,6 +204,9 @@ def _src_env(**extra):
     return env
 
 
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
 def test_benchmark_tracer_resolves_every_traced_function(monkeypatch):
     # perfbench/tracer.py wraps functions by module and attribute path and
     # fails a traced run on a name it cannot find; this catches a rename here
@@ -271,16 +274,16 @@ def test_theorem_suite_never_runs_the_orbit_search():
 
 _SUBMODULES = {p.stem for p in Path(hadamard6.__file__).parent.glob("*.py")} - {"__init__"}
 # elements.py and what it imports
-_ELEMENTS = {"elements", "groups", "monomial", "matrices", "eisenstein", "perms"}
+_ELEMENTS = {"elements", "groups", "monomial", "perms"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     ([], {"cli"}),
     (["verify", "--only", "codes"], {"cli", "gf4", "matrices", "eisenstein", "report"}),
-    # neither autgroup, brep nor gf4
+    # neither autgroup, brep, gf4 nor the dense layer
     (["verify", "--only", "outer"], {"cli", "outer", "report"} | _ELEMENTS),
     # neither autgroup, outer nor gf4
-    (["verify", "--only", "theorem"], {"cli", "brep", "report"} | _ELEMENTS),
+    (["verify", "--only", "theorem"], {"cli", "brep", "report", "matrices", "eisenstein"} | _ELEMENTS),
     (["verify"], _SUBMODULES),
 ], ids=["import", "codes", "outer", "theorem", "all"])
 def test_each_command_runs_only_the_modules_it_reaches(argv, modules):
@@ -408,11 +411,10 @@ def test_closed_stdout_exits_141_quietly(argv):
 
 def test_demo_scripts_run():
     # the README advertises both scripts; run them as a user would
-    scripts = Path(__file__).resolve().parent.parent / "scripts"
     out = {}
     for name in ("intertwining_demo.py", "group_census.py"):
         proc = subprocess.run(
-            [sys.executable, str(scripts / name)],
+            [sys.executable, str(_SCRIPTS / name)],
             env=_src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
@@ -423,10 +425,57 @@ def test_demo_scripts_run():
     assert "39,366" in out["group_census.py"]
 
 
+def test_no_command_builds_a_dense_matrix():
+    # every command of scripts/reach.py, in order in one process as there,
+    # once as it is and once with ExactMatrix.__init__ refusing to run
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {str(_SCRIPTS)!r})\n"
+        "from reach import COMMANDS\n"
+        "from hadamard6 import cli, matrices\n"
+        "def refuse(self, *args):\n"
+        "    raise AssertionError('a command built an ExactMatrix')\n"
+        "if sys.argv[1:] == ['stub']:\n"
+        "    matrices.ExactMatrix.__init__ = refuse\n"
+        "results = []\n"
+        "for argv in COMMANDS:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            status = cli.main(argv)\n"
+        "        except Exception as exc:\n"
+        "            status = repr(exc)\n"
+        "    results.append([argv, status, out.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    plain, stubbed = (
+        json.loads(subprocess.run([sys.executable, "-c", code, *flag], env=_src_env(),
+                                  capture_output=True, text=True, check=True).stdout)
+        for flag in ([], ["stub"]))
+    assert len(plain) == 16 and all(type(status) is int for _, status, _ in plain)
+    assert stubbed == plain
+
+
+def test_reach_allowlist_names_only_what_the_tracer_wraps(monkeypatch):
+    # each entry under reach.py's tracer comment is a function that
+    # perfbench/tracer.py wraps, or a method of a class it wraps a method of;
+    # an entry the tracer no longer names is free to go
+    monkeypatch.syspath_prepend(str(_SCRIPTS))
+    monkeypatch.syspath_prepend(str(_SCRIPTS.parent / "perfbench"))
+    import reach
+    import tracer
+
+    wrapped = {(module, attr) for _, module, attr, _, _ in tracer.TRACED}
+    classes = {(module, attr.rpartition(".")[0]) for module, attr in wrapped if "." in attr}
+    for name in reach.TRACER_NAMED:
+        module, attr = name.split(".", 1)
+        assert (module, attr) in wrapped or (module, attr.rpartition(".")[0]) in classes, name
+
+
 def test_every_src_function_is_reached_by_a_command():
     # a subprocess: in this one, the @cache results of other tests would
     # hide the functions that compute them
-    script = Path(__file__).resolve().parent.parent / "scripts" / "reach.py"
+    script = _SCRIPTS / "reach.py"
     proc = subprocess.run([sys.executable, str(script)], env=_src_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -19,9 +19,9 @@ from hadamard6.eisenstein import (
     SplitQuaternion,
 )
 from hadamard6.autgroup import _gf3_span_size
-from hadamard6.matrices import H6_PHASES, ExactMatrix, h6, orthogonal_exponents
+from hadamard6.matrices import H6_PHASES, ExactMatrix, orthogonal_exponents
 
-from conftest import dagger, entry, identity
+from conftest import dagger, entry, h6, identity
 
 integers = st.integers(min_value=-9, max_value=9)
 eisenstein = st.builds(EisensteinRational, integers, integers)

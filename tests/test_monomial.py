@@ -242,38 +242,6 @@ def random_dense(rng, rows, cols, ring):
     return ExactMatrix(rows, cols, [entry() for _ in range(rows * cols)])
 
 
-def test_monomial_products_are_the_dense_products():
-    # row and column moves against to_matrix products, on both sides and on
-    # operands that are not square
-    rng = random.Random(34)
-    ring = EisensteinRational
-    for _ in range(30):
-        m = random_monomial(rng)
-        left, right = random_dense(rng, 6, rng.randint(1, 7), ring), random_dense(rng, rng.randint(1, 7), 6, ring)
-        assert m @ left == to_matrix(m) @ left
-        assert right @ m == right @ to_matrix(m)
-
-
-def test_inverse_then_dense_then_monomial_is_the_dense_triple_product():
-    rng = random.Random(35)
-    for _ in range(30):
-        p, q = random_monomial(rng), random_monomial(rng)
-        H = random_dense(rng, 6, 6, EisensteinRational)
-        assert p.inverse() @ H @ q == to_matrix(p.inverse()) @ H @ to_matrix(q)
-
-
-def test_monomial_products_reject_a_wrong_degree_or_ring():
-    rng = random.Random(36)
-    m = random_monomial(rng)
-    for operand in (random_dense(rng, 6, 6, SplitQuaternion), random_dense(rng, 5, 5, EisensteinRational)):
-        with pytest.raises(ValueError):
-            m @ operand
-        with pytest.raises(ValueError):
-            operand @ m
-    with pytest.raises(TypeError):
-        m @ 3
-
-
 def test_b_monomial_matrices_have_no_dense_product():
     # a B-monomial matrix is multiplied only on its 36-point encoding
     rng = random.Random(37)
